@@ -11,12 +11,11 @@ import math
 
 from cogrowth.algebraic import braid_equation
 from cogrowth.asymptotics import algebraic_moments, growth_and_moments, minimal_poly_check
+from cogrowth.cli import AXA_GROWTH_POLY, TREFOIL_GROWTH_POLY
 from cogrowth.groups import parse_group_spec
 from cogrowth.systems import build_axa_system, build_star_system
 
-TREFOIL_GROWTH_POLY = [4, 12, -11, -2, 1]
 TREFOIL_VARIANCE_POLY = [-1, -60, 512, -904, 452]
-AXA_GROWTH_POLY = [-108, 1192, 7788, -12888, -8940, 9136, 6598, -130, -763, -88, 24, 4]
 
 
 def star_law(name):

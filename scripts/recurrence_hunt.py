@@ -3,9 +3,9 @@
 
 For each recurrence order r, reports the smallest coefficient degree d at
 which the (r, d) linear system acquires a nullvector modulo a 26-bit prime
-(full modular rank proves no rational recurrence of that shape exists).  The
-smallest admissible shape is then reconstructed exactly and verified on every
-available term.
+(full modular rank proves no rational recurrence of that shape exists), or
+that every degree up to --max-degree has full rank.  The smallest admissible
+shape is then reconstructed exactly and verified on every available term.
 
 G(2,3) winding-zero frontier starts at (14, 31)/(15, 23)/(16, 19): nothing
 at order 13 or below, with full rank checked through degree 43.  The braid
@@ -58,6 +58,8 @@ def frontier(seq, max_order, max_degree):
                 best = (r, hit, (r + 1) * (hit + 1))
         elif hit == "data cap":
             print(f"  order {r:2d}: undecided beyond available terms")
+        else:
+            print(f"  order {r:2d}: full rank through degree {max_degree}")
     return best
 
 

@@ -431,26 +431,30 @@ def guess_recurrence(
         if len(seq) - r < cells + 8:
             continue
         rows = min(len(seq) - r, cells + 32)
-        if any(
-            _nullvector_numpy(_matrix_mod(seq, r, d, rows, p), p)[0] is None
-            for p in _FILTER_PRIMES
-        ):
-            continue
-        rec = _reconstruct(seq, r, d, rows)
-        if rec is not None and verify_recurrence(rec, seq):
-            return rec
+        images = {}
+        for p in _FILTER_PRIMES:
+            vec, pivots = _nullvector_numpy(_matrix_mod(seq, r, d, rows, p), p)
+            if vec is None:
+                break
+            images[p] = vec, pivots
+        else:
+            rec = _reconstruct(seq, r, d, rows, images)
+            if rec is not None and verify_recurrence(rec, seq):
+                return rec
     return None
 
 
-def _reconstruct(seq, order, degree, rows) -> Recurrence | None:
+def _reconstruct(seq, order, degree, rows, images) -> Recurrence | None:
     """Lift the modular nullvector of the (order, degree) fitting matrix to Q.
 
     Primes below 2^26 are added one at a time until the CRT image, rationally
-    reconstructed, annihilates every fitting row exactly.  Modulo p the rank
-    of each leading block of columns can only drop, so the true rank profile
-    has the most pivots and, among equals, the earliest ones; a prime with a
-    better profile than the best seen restarts the accumulation, and one with
-    a worse profile is skipped.  No cap on the primes is needed: once the
+    reconstructed, annihilates every fitting row exactly; images maps a prime
+    to the (nullvector, pivots) an earlier elimination found modulo it, which
+    the lift uses instead of eliminating again.  Modulo p the rank of each
+    leading block of columns can only drop, so the true rank profile has the
+    most pivots and, among equals, the earliest ones; a prime with a better
+    profile than the best seen restarts the accumulation, and one with a
+    worse profile is skipped.  No cap on the primes is needed: once the
     modulus exceeds twice the square of the Hadamard bound, every numerator
     and denominator fits the reconstruction window, so a failure there proves
     that the matrix has no rational nullvector.
@@ -459,7 +463,10 @@ def _reconstruct(seq, order, degree, rows) -> Recurrence | None:
     prime = 1 << 26
     while True:
         (prime,) = _primes_below(prime, 1)
-        vec, pivots = _nullvector_numpy(_matrix_mod(seq, order, degree, rows, prime), prime)
+        if prime in images:
+            vec, pivots = images[prime]
+        else:
+            vec, pivots = _nullvector_numpy(_matrix_mod(seq, order, degree, rows, prime), prime)
         if vec is None:
             return None  # full rank modulo p implies full rank over Q
         profile = (-len(pivots), pivots)

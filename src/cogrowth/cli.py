@@ -11,7 +11,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebraic import braid_equation, guess_recurrence, series_solve_polynomial
 from .asymptotics import (
@@ -32,7 +32,7 @@ from .systems import build_axa_system, build_star_system, solve_series
 STATE_CAP_ENV = "COGROWTH_STATE_CAP"
 
 AXA_GROWTH_POLY = [-108, 1192, 7788, -12888, -8940, 9136, 6598, -130, -763, -88, 24, 4]
-TREFOIL_GROWTH_POLY = [4, 12, -11, -2, 1]
+TREFOIL_GROWTH_POLY = [4, 12, -11, -2, 1]  # m^4 - 2m^3 - 11m^2 + 12m + 4
 BRAID_GROWTH_POLY = [-7, -2, 1]
 
 
@@ -52,7 +52,6 @@ class RunConfig:
     max_degree: int = 0
     infile: str | None = None
     suite: str = ""
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.order < 0:
@@ -262,9 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="exact q-tracked series of a group")
     common(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--q-track", action="store_true", help="full winding rows (default)")
-    mode.add_argument("--q0", action="store_true", help="center column only")
+    p.add_argument("--q0", action="store_true", help="center column only")
     p.add_argument("--unknown", help="system unknown instead of F, e.g. L0:1")
 
     p = sub.add_parser("oracle", help="brute-force walk counts")

@@ -29,6 +29,7 @@ from cogrowth.asymptotics import (
     minimal_poly_check,
     variance_sequence,
 )
+from cogrowth.cli import AXA_GROWTH_POLY, TREFOIL_GROWTH_POLY
 from cogrowth.fastseries import high_order_rows
 from cogrowth.groups import parse_group_spec
 from cogrowth.oracle import count_closed_walks
@@ -46,9 +47,7 @@ pytestmark = pytest.mark.acceptance
 
 STAR_SPECS = ("G(2,2)", "G(2,3)", "G(3,3)", "G(3,4)", "G(2,2,2)")
 
-TREFOIL_GROWTH_POLY = [4, 12, -11, -2, 1]  # m^4 - 2m^3 - 11m^2 + 12m + 4
 TREFOIL_VARIANCE_POLY = [-1, -60, 512, -904, 452]
-AXA_GROWTH_POLY = [-108, 1192, 7788, -12888, -8940, 9136, 6598, -130, -763, -88, 24, 4]
 
 
 def star(name: str):

@@ -17,6 +17,7 @@ from cogrowth.asymptotics import (
     minimal_poly_check,
     variance_sequence,
 )
+from cogrowth.cli import AXA_GROWTH_POLY, BRAID_GROWTH_POLY, TREFOIL_GROWTH_POLY
 from cogrowth.groups import parse_group_spec
 from cogrowth.qseries import QPolynomial
 from cogrowth.systems import (
@@ -28,7 +29,6 @@ from cogrowth.systems import (
     solve_series,
 )
 
-AXA_GROWTH_POLY = [-108, 1192, 7788, -12888, -8940, 9136, 6598, -130, -763, -88, 24, 4]
 SIGMA_QUARTIC = [-1, -60, 512, -904, 452]
 
 
@@ -110,13 +110,13 @@ class TestMoments:
 class TestMinimalPoly:
     def test_trefoil_quartic(self):
         mu = (1 + math.sqrt(25 + 16 * math.sqrt(2))) / 2
-        check = minimal_poly_check(mu, [4, 12, -11, -2, 1])
+        check = minimal_poly_check(mu, TREFOIL_GROWTH_POLY)
         assert abs(check.residual) < 1e-8
         assert check.is_largest_positive
         assert abs(mu - 3.950630994) < 1e-8
 
     def test_braid_quadratic(self):
-        check = minimal_poly_check(1 + 2 * math.sqrt(2), [-7, -2, 1])
+        check = minimal_poly_check(1 + 2 * math.sqrt(2), BRAID_GROWTH_POLY)
         assert abs(check.residual) < 1e-12
         assert check.is_largest_positive
 
