@@ -323,36 +323,30 @@ class PolyCheck:
 def minimal_poly_check(value: float, coeffs: list[int]) -> PolyCheck:
     """Evaluate sum(coeffs[i] * value**i) and rank value among the real roots.
 
-    Roots are located by scanning for sign changes and bisecting, which finds
-    all simple real roots of the minimal polynomials used here.
+    The real roots are the eigenvalue roots (np.roots) with a negligible
+    imaginary part, each polished by three Newton steps; this finds all simple
+    real roots of the minimal polynomials used here.
     """
-    def p(x):
-        acc = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-        for c in reversed(coeffs):
+    def p(x, cs=coeffs):
+        acc = 0.0
+        for c in reversed(cs):
             acc = acc * x + c
         return acc
 
-    lead = coeffs[-1]
-    if lead == 0:
+    if coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    bound = 1.0 + max(abs(c) for c in coeffs) / abs(lead)
-    grid = np.linspace(-bound, bound, 2_000_001)
-    vals = p(grid)
-    signs = np.sign(vals)
-    roots = [float(x) for x in grid[vals == 0.0]]
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(vals[i])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = p(mid)
-            if fm == 0.0:
-                lo = hi = mid
+    slope = [i * c for i, c in enumerate(coeffs)][1:]
+    roots = []
+    for r in np.roots(coeffs[::-1]):
+        if abs(r.imag) > 1e-7 * (1 + abs(r)):
+            continue
+        x = float(r.real)
+        for _ in range(3):
+            d = p(x, slope)
+            if d == 0.0:
                 break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        roots.append(0.5 * (lo + hi))
+            x -= p(x) / d
+        roots.append(x)
     roots.sort()
     positives = [r for r in roots if r > 0]
     largest = max(positives) if positives else None

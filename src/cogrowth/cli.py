@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .algebraic import braid_equation, guess_recurrence, series_solve_polynomial
 from .asymptotics import (
@@ -24,10 +23,10 @@ from .asymptotics import (
     minimal_poly_check,
     variance_sequence,
 )
-from .groups import BRAID_AXA, BRAID_STANDARD, STAR_POLYGON, GroupSpec, parse_group_spec
+from .groups import BRAID_AXA, BRAID_STANDARD, GroupSpec, parse_group_spec
 from .oracle import DEFAULT_STATE_CAP, count_closed_walks, count_one_sided_walks
 from .qseries import QZSeries
-from .systems import build_axa_system, build_star_system, solve_series
+from .systems import solve_series, system_for
 
 STATE_CAP_ENV = "COGROWTH_STATE_CAP"
 
@@ -36,28 +35,11 @@ TREFOIL_GROWTH_POLY = [4, 12, -11, -2, 1]  # m^4 - 2m^3 - 11m^2 + 12m + 4
 BRAID_GROWTH_POLY = [-7, -2, 1]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    group: str = ""
-    order: int = 0
-    out: str | None = None
-    csv: str | None = None
-    q0: bool = False
-    unknown: str | None = None
-    facet: int | None = None
-    digits: int = 8
-    threads: int = 1
-    max_order: int = 0
-    max_degree: int = 0
-    infile: str | None = None
-    suite: str = ""
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.threads < 1:
-            raise ValueError("thread count must be >= 1")
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("order must be >= 0")
+    return value
 
 
 def _dump(doc, path: str | None) -> None:
@@ -77,78 +59,67 @@ def _write_csv(path: str, rows) -> None:
 
 
 def _series_for(spec: GroupSpec, order: int, unknown: str | None) -> QZSeries:
-    if spec.variant == BRAID_STANDARD:
-        if unknown:
-            raise ValueError("B3-standard has no equation-system unknowns")
+    if spec.variant == BRAID_STANDARD and not unknown:
         return series_solve_polynomial(braid_equation(), 1, order)
-    system = build_axa_system() if spec.variant == BRAID_AXA else build_star_system(spec)
-    sol = solve_series(system, order)
+    sol = solve_series(system_for(spec), order)
     if not unknown:
         return sol.F
-    name = unknown.replace(":", "_") if ":" in unknown else unknown
+    name = unknown.replace(":", "_")
     if name not in sol.series:
         raise ValueError(f"unknown series {unknown!r}; have {sorted(sol.series)}")
     return sol.series[name]
 
 
-def cmd_series(cfg: RunConfig) -> int:
-    spec = parse_group_spec(cfg.group)
-    series = _series_for(spec, cfg.order, cfg.unknown)
-    doc = {"group": cfg.group, "order": cfg.order, "unknown": cfg.unknown or "F"}
-    if cfg.q0:
+def cmd_series(args: argparse.Namespace) -> int:
+    spec = parse_group_spec(args.group)
+    series = _series_for(spec, args.order, args.unknown)
+    doc = {"group": args.group, "order": args.order, "unknown": args.unknown or "F"}
+    if args.q0:
         center = [p.coeff(0) for p in series.coeffs]
         doc["q0"] = [str(v) for v in center]
-        if cfg.out:
-            _dump(doc, cfg.out)
+        if args.out:
+            _dump(doc, args.out)
         else:
-            print(",".join(str(v) for v in center))
-        if cfg.csv:
-            _write_csv(cfg.csv, ((n, 0, v) for n, v in enumerate(center)))
+            print(",".join(doc["q0"]))
+        cells = ((n, 0, v) for n, v in enumerate(center))
     else:
         doc["rows"] = series.rows_json()
-        _dump(doc, cfg.out)
-        if cfg.csv:
-            _write_csv(
-                cfg.csv,
-                (
-                    (n, m, v)
-                    for n, p in enumerate(series.coeffs)
-                    for m, v in p.pairs()
-                ),
-            )
+        _dump(doc, args.out)
+        cells = ((n, m, v) for n, p in enumerate(series.coeffs) for m, v in p.pairs())
+    if args.csv:
+        _write_csv(args.csv, cells)
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    spec = parse_group_spec(cfg.group)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    spec = parse_group_spec(args.group)
     cap = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
-    if cfg.facet is None:
-        table = count_closed_walks(spec, cfg.order, max_len_cap=cfg.order, state_cap=cap)
+    if args.facet is None:
+        table = count_closed_walks(spec, args.order, max_len_cap=args.order, state_cap=cap)
     else:
         table = count_one_sided_walks(
-            spec, cfg.facet, cfg.order, max_len_cap=cfg.order, state_cap=cap
+            spec, args.facet, args.order, max_len_cap=args.order, state_cap=cap
         )
     counts = [
         {"n": n, "m": m, "f": str(v)}
         for (n, m), v in sorted(table.counts.items())
         if v
     ]
-    _dump({"group": cfg.group, "counts": counts}, cfg.out)
-    if cfg.csv:
-        _write_csv(cfg.csv, ((c["n"], c["m"], c["f"]) for c in counts))
+    _dump({"group": args.group, "counts": counts}, args.out)
+    if args.csv:
+        _write_csv(args.csv, ((c["n"], c["m"], c["f"]) for c in counts))
     return 0
 
 
 def _growth(spec: GroupSpec) -> float:
     if spec.variant == BRAID_STANDARD:
         return 1.0 / algebraic_critical_point(braid_equation(), 1.0).z_c
-    system = build_axa_system() if spec.variant == BRAID_AXA else build_star_system(spec)
-    return 1.0 / find_critical_point(system, 1.0).z_c
+    return 1.0 / find_critical_point(system_for(spec), 1.0).z_c
 
 
-def cmd_cogrowth(cfg: RunConfig) -> int:
-    mu = _growth(parse_group_spec(cfg.group))
-    print(f"{mu:.{cfg.digits}f}")
+def cmd_cogrowth(args: argparse.Namespace) -> int:
+    mu = _growth(parse_group_spec(args.group))
+    print(f"{mu:.{args.digits}f}")
     return 0
 
 
@@ -164,16 +135,13 @@ def _growth_poly(spec: GroupSpec) -> list[int] | None:
     return None
 
 
-def cmd_asymptotics(cfg: RunConfig) -> int:
-    spec = parse_group_spec(cfg.group)
+def cmd_asymptotics(args: argparse.Namespace) -> int:
+    spec = parse_group_spec(args.group)
     if spec.variant == BRAID_STANDARD:
         law = algebraic_moments(braid_equation())
     else:
-        system = (
-            build_axa_system() if spec.variant == BRAID_AXA else build_star_system(spec)
-        )
-        law = growth_and_moments(system)
-    series = _series_for(spec, cfg.order, None)
+        law = growth_and_moments(system_for(spec))
+    series = _series_for(spec, args.order, None)
     center = [p.coeff(0) for p in series.coeffs]
     try:
         alpha, amplitude = exponent_fit(center, law.mu)
@@ -184,8 +152,8 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     var = variance_sequence(series.coeffs)
     top = max((n for n, m in enumerate(masses) if n and m), default=0)
     doc = {
-        "group": cfg.group,
-        "order": cfg.order,
+        "group": args.group,
+        "order": args.order,
         "mu": law.mu,
         "lambda": law.lam,
         "sigma2": law.sigma2,
@@ -197,23 +165,23 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     poly = _growth_poly(spec)
     if poly is not None:
         doc["poly_residual"] = minimal_poly_check(law.mu, poly).residual
-    _dump(doc, cfg.out)
+    _dump(doc, args.out)
     return 0
 
 
-def cmd_guess(cfg: RunConfig) -> int:
-    with open(cfg.infile) as fh:
+def cmd_guess(args: argparse.Namespace) -> int:
+    with open(args.infile) as fh:
         raw = json.load(fh)
     seq = [int(v) for v in raw]
-    rec = guess_recurrence(seq, cfg.max_order, cfg.max_degree)
+    rec = guess_recurrence(seq, args.max_order, args.max_degree)
     if rec is None:
         print("no recurrence found within the given shape", file=sys.stderr)
         return 1
-    _dump(rec.to_json(), cfg.out)
+    _dump(rec.to_json(), args.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     import pytest
 
     target = None
@@ -237,14 +205,14 @@ def cmd_verify(cfg: RunConfig) -> int:
             if report.when == "call" or report.failed:
                 results[cid] = results.get(cid, True) and not report.failed
 
-    marker = "fastsuite" if cfg.suite == "fast" else "acceptance"
+    marker = "fastsuite" if args.suite == "fast" else "acceptance"
     code = pytest.main(["-q", "-m", marker, target], plugins=[Collector()])
     doc = {
-        "suite": cfg.suite,
+        "suite": args.suite,
         "criteria": [{"id": cid, "passed": results[cid]} for cid in sorted(results)],
         "passed": code == 0,
     }
-    _dump(doc, cfg.out)
+    _dump(doc, args.out)
     return 0 if code == 0 else 1
 
 
@@ -252,20 +220,22 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cogrowth")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, order_flag="--order", order_required=True):
+    def common(p, order_flag="--order", default=None):
         p.add_argument("--group", required=True)
-        p.add_argument(order_flag, dest="order", type=int, required=order_required, default=0)
+        p.add_argument(
+            order_flag, dest="order", type=nonnegative, required=default is None, default=default
+        )
         p.add_argument("--out")
-        p.add_argument("--csv")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("series", help="exact q-tracked series of a group")
     common(p)
+    p.add_argument("--csv")
     p.add_argument("--q0", action="store_true", help="center column only")
     p.add_argument("--unknown", help="system unknown instead of F, e.g. L0:1")
 
     p = sub.add_parser("oracle", help="brute-force walk counts")
     common(p, order_flag="--max-len")
+    p.add_argument("--csv")
     p.add_argument("--facet", type=int)
 
     p = sub.add_parser("cogrowth", help="print the growth rate")
@@ -273,8 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=8)
 
     p = sub.add_parser("asymptotics", help="growth/moment report")
-    common(p, order_required=False)
-    p.set_defaults(order=120)
+    common(p, default=120)
 
     p = sub.add_parser("guess", help="fit a polynomial-coefficient recurrence")
     p.add_argument("--in", dest="infile", required=True)
@@ -299,30 +268,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    data = vars(ns)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=data["command"],
-            group=data.get("group", ""),
-            order=data.get("order", 0) or 0,
-            out=data.get("out"),
-            csv=data.get("csv"),
-            q0=data.get("q0", False),
-            unknown=data.get("unknown"),
-            facet=data.get("facet"),
-            digits=data.get("digits", 8),
-            threads=data.get("threads", 1),
-            max_order=data.get("max_order", 0) or 0,
-            max_degree=data.get("max_degree", 0) or 0,
-            infile=data.get("infile"),
-            suite=data.get("suite", ""),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-    try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ nonzero residue in any slot outside the window raises.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -177,19 +178,6 @@ def _solve_lanes(eq: PolynomialEquation, order: int, p: int, w: int, lanes: int)
     return pows[1, pad:]
 
 
-def _garner(residues: list[int], primes: list[int], inverses: list[int]) -> int:
-    """Signed integer congruent to residues; |result| < prod(primes)/2."""
-    x = 0
-    modulus = 1
-    for r, p, inv in zip(residues, primes, inverses):
-        t = (r - x) % p * inv % p
-        x += modulus * t
-        modulus *= p
-    if 2 * x >= modulus:
-        x -= modulus
-    return x
-
-
 def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
     """Exact coefficient rows of eq's counting-series root up to z^order.
 
@@ -224,21 +212,20 @@ def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
             raise ArithmeticError(f"winding support leaked outside window at {n} mod {p}")
         stacked[:, :, i] = rows[:, : max_w + 1]
 
-    inverses = []
-    modulus = 1
-    for p in primes:
-        inverses.append(pow(modulus % p, p - 2, p))
-        modulus *= p
-
+    # CRT weights: x = sum(r_i * w_i) mod M, with w_i = 1 mod p_i and 0 mod the others
+    modulus = prod(primes)
+    weights = np.array(
+        [modulus // p * pow(modulus // p, -1, p) for p in primes], dtype=object
+    )
     coeffs = [QPolynomial.constant(1)]
     for n in range(1, order + 1):
-        row = stacked[n].tolist()
+        lifted = stacked[n, : min(n, max_w) + 1].astype(object).dot(weights) % modulus
         pairs = []
-        for m in range(0, min(n, max_w) + 1):
-            residues = row[m]
-            if not any(residues):
+        for m, v in enumerate(lifted.tolist()):
+            if not v:
                 continue
-            v = _garner(residues, primes, inverses)
+            if 2 * v >= modulus:
+                v -= modulus
             pairs.append((m, v))
             if m:
                 pairs.append((-m, v))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .groups import GroupSpec, STAR_POLYGON
+from .groups import BRAID_AXA, GroupSpec, STAR_POLYGON
 from .qseries import (
     QP_ZERO,
     QPolynomial,
@@ -310,10 +310,21 @@ def solve_series(system: EquationSystem, order: int) -> SeriesSolution:
     return SeriesSolution(system, order, series, primitive, F)
 
 
-def solve_group(spec: GroupSpec, order: int) -> SeriesSolution:
+def system_for(spec: GroupSpec) -> EquationSystem:
+    """The equation system of a star-polygon or B3-axa presentation.
+
+    B3-standard is solved through its eliminated cubic instead
+    (algebraic.braid_equation), so it has no system and raises ValueError.
+    """
     if spec.variant == STAR_POLYGON:
-        return solve_series(build_star_system(spec), order)
-    return solve_series(build_axa_system(), order)
+        return build_star_system(spec)
+    if spec.variant == BRAID_AXA:
+        return build_axa_system()
+    raise ValueError("B3-standard has no equation-system unknowns")
+
+
+def solve_group(spec: GroupSpec, order: int) -> SeriesSolution:
+    return solve_series(system_for(spec), order)
 
 
 def forget_winding(system: EquationSystem) -> EquationSystem:

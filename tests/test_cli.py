@@ -111,9 +111,16 @@ def test_computation_error_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_thread_count_exit_two():
+def test_negative_order_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["series", "--group", "G(2,2)", "--order", "2", "--threads", "0"])
+        main(["series", "--group", "G(2,2)", "--order", "-1"])
+    assert err.value.code == 2
+    assert "order must be >= 0" in capsys.readouterr().err
+
+
+def test_asymptotics_has_no_csv():
+    with pytest.raises(SystemExit) as err:
+        main(["asymptotics", "--group", "G(2,2)", "--csv", "f"])
     assert err.value.code == 2
 
 

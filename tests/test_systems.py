@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogrowth.groups import GroupSpec, STAR_POLYGON, parse_group_spec
 from cogrowth.oracle import count_closed_walks, count_one_sided_walks
@@ -41,6 +42,10 @@ class TestBuildStar:
     def test_rejects_braid(self):
         with pytest.raises(ValueError):
             build_star_system(parse_group_spec("B3-standard"))
+
+    def test_solve_group_rejects_braid_standard(self):
+        with pytest.raises(ValueError, match="B3-standard"):
+            solve_group(parse_group_spec("B3-standard"), 6)
 
     def test_invariant_catches_bad_term(self):
         bad = EquationSystem(["A"], {"A": [Term(1, 0, 0, ("A", "A"))]})
@@ -166,3 +171,15 @@ class TestConeChecks:
         )
         report = cone_positivity_check(F, spec)
         assert not report.ok and report.first_violation == (6, 0)
+
+
+class TestStarFamily:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 5), min_size=2, max_size=3))
+    def test_rows_match_oracle_with_invariants(self, periods):
+        spec = GroupSpec(STAR_POLYGON, tuple(periods))
+        length = 8 if len(periods) == 2 else 6
+        F = solve_group(spec, length).F
+        assert F == QZSeries.from_counts(count_closed_walks(spec, length).counts, length)
+        assert all(row.is_symmetric() for row in F.coeffs)
+        assert cone_positivity_check(F, spec).ok
