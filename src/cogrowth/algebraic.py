@@ -163,10 +163,13 @@ def _divide_monomial(poly: QPolynomial, value: int, shift: int) -> QPolynomial:
 def series_solve_polynomial(eq: PolynomialEquation, f0: int, order: int) -> QZSeries:
     """The unique series root of eq with constant term f0, to the given order.
 
-    Requires a simple root at z = 0 whose F-derivative there is a monomial in
-    q, so each new coefficient comes from one exact division.  Powers of the
-    partial solution are maintained incrementally: appending f_n z^n updates
-    F^k through the binomial cross terms against the old lower powers.
+    The exact Laurent-arithmetic reference for the lane engine: the tests,
+    fastseries.series_at_q1 and the lanes benchmark's check compare against
+    it.  Requires a simple root at z = 0 whose F-derivative there is a
+    monomial in q, so each new coefficient comes from one exact division.
+    Powers of the partial solution are maintained incrementally: appending
+    f_n z^n updates F^k through the binomial cross terms against the old
+    lower powers.
     """
     deg = eq.degree
     at0 = QP_ZERO

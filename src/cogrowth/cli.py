@@ -12,6 +12,7 @@ import os
 import re
 import sys
 
+# series_solve_polynomial is unused here; perfbench/worker.py traces it by this name
 from .algebraic import braid_equation, guess_recurrence, series_solve_polynomial
 from .asymptotics import (
     algebraic_critical_point,
@@ -23,6 +24,7 @@ from .asymptotics import (
     minimal_poly_check,
     variance_sequence,
 )
+from .fastseries import high_order_rows
 from .groups import BRAID_AXA, BRAID_STANDARD, GroupSpec, parse_group_spec
 from .oracle import DEFAULT_STATE_CAP, count_closed_walks, count_one_sided_walks
 from .qseries import QZSeries
@@ -60,7 +62,7 @@ def _write_csv(path: str, rows) -> None:
 
 def _series_for(spec: GroupSpec, order: int, unknown: str | None) -> QZSeries:
     if spec.variant == BRAID_STANDARD and not unknown:
-        return series_solve_polynomial(braid_equation(), 1, order)
+        return high_order_rows(braid_equation(), order)
     sol = solve_series(system_for(spec), order)
     if not unknown:
         return sol.F

@@ -1,25 +1,24 @@
-"""High-order exact expansion of the cubic/quintic return equations.
+"""Exact series expansion on NTT/CRT lanes, for single equations and systems.
 
-The per-order solver in systems.py is exact but its Laurent arithmetic is too
-slow past a few hundred orders.  Here the q-variable is evaluated at all L-th
-roots of unity modulo a stack of 26-bit primes p = 1 (mod L), the equation is
-expanded order by order independently on every (prime, lane) pair with numpy,
-and coefficients are recovered by an inverse transform over lanes followed by
-CRT and a signed lift.  L is the smallest power of two above 2 * max_w + 1,
-where the winding window max_w follows from the equation: every q-exponent of
-a z^zp coefficient is at most slope * zp, and the z^0 coefficients carry no q,
-so row n has q-degree at most slope * n.  Products of two residues stay below
-2^52, so a sum of fewer than 2^11 of them (one power-series convolution at
-order < 2^11) fits an int64 unreduced and plain int64 arithmetic is exact
-throughout.  Winding symmetry f(q) = f(1/q) halves the lanes that need
-solving.  The engine checks its own assumptions: a coefficient that is not
-q -> 1/q symmetric or a z^0 coefficient that depends on q is rejected, and a
-nonzero residue in any slot outside the window raises.
+The q-variable is evaluated at all L-th roots of unity modulo a stack of
+26-bit primes p = 1 (mod L), the series is expanded order by order on every
+(prime, lane) pair with numpy, and one driver brings the rows back: an inverse
+transform over the lanes, a check that no residue lies outside the winding
+window, and CRT with a signed lift, checked against one more prime.  Products
+of two residues stay below 2^52, so a sum of fewer than 2^11 of them (one
+power-series convolution at order < 2^11) fits an int64 unreduced.
+high_order_rows solves one polynomial equation whose rows are q -> 1/q
+symmetric, which halves the lanes; row n has q-degree at most slope * n.
+system_rows solves an EquationSystem on all lanes, since one-sided series are
+not symmetric; the same order-by-order loop run on (interval, log2 mass)
+pairs instead of residues gives each series a provable q-exponent window per
+order and a bound on its coefficients.  L is the smallest power of two above
+the widest window.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import ceil, log2, prod
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .qseries import QPolynomial, QZSeries
 
 # sums of fewer than this many products below p^2 < 2^52 fit an int64
 _MAX_UNREDUCED = 1 << 11
+# primes are solved side by side, as many as fill this many lanes
+_BLOCK_COLUMNS = 1024
 
 
 def _winding_window(eq: PolynomialEquation, order: int) -> int:
@@ -54,11 +55,12 @@ def _winding_window(eq: PolynomialEquation, order: int) -> int:
 
 
 def _ntt_primes(bound: int, lanes: int) -> list[int]:
-    """Primes p = 1 (mod lanes) just under 2^26 whose product exceeds bound."""
+    """Primes p = 1 (mod lanes) just under 2^26 whose product exceeds bound,
+    and one more after them that checks the CRT lift."""
     out = []
     modulus = 1
     m = ((1 << 26) - 2) // lanes
-    while modulus <= bound:
+    while not out or modulus // out[-1] <= bound:
         p = m * lanes + 1
         if _is_prime(p):
             out.append(p)
@@ -73,6 +75,14 @@ def _root_of_unity(p: int, lanes: int) -> int:
         if pow(w, lanes // 2, p) == p - 1:
             return w
     raise ArithmeticError(f"no primitive {lanes}-th root mod {p}")
+
+
+def _powers(p: int, w: int, count: int) -> np.ndarray:
+    """w^0, w^1, ..., w^(count-1) modulo p."""
+    out = [1] * count
+    for t in range(1, count):
+        out[t] = out[t - 1] * w % p
+    return np.array(out, dtype=np.int64)
 
 
 def _bit_reverse(n: int) -> np.ndarray:
@@ -94,11 +104,7 @@ def _intt_rows(mat: np.ndarray, p: int, w: int) -> np.ndarray:
     while length <= n:
         wlen = pow(root, n // length, p)
         half = length // 2
-        wp = np.empty(half, dtype=np.int64)
-        acc = 1
-        for i in range(half):
-            wp[i] = acc
-            acc = acc * wlen % p
+        wp = _powers(p, wlen, half)
         view = out.reshape(rows, n // length, length)
         a = view[:, :, :half].copy()  # the in-place write below must not alias it
         b = view[:, :, half:] * wp % p
@@ -115,22 +121,14 @@ def _lane_coefficients(eq: PolynomialEquation, p: int, w: int, lanes: int):
     Returns the F-power k and the z-power zp of each term, and a (terms, half)
     matrix of the term's coefficient on every lane.
     """
-    half = lanes // 2 + 1
+    at = np.arange(lanes // 2 + 1)
+    powers = _powers(p, w, lanes)
     ks, zps, rows = [], [], []
     for k, zpoly in enumerate(eq.terms):
         for zp, cq in zpoly:
-            vals = np.zeros(half, dtype=np.int64)
-            for e, v in cq.pairs():
-                we = pow(w, e % lanes, p)
-                acc = 1
-                powers = np.empty(half, dtype=np.int64)
-                for t in range(half):
-                    powers[t] = acc
-                    acc = acc * we % p
-                vals = (vals + v % p * powers) % p
             ks.append(k)
             zps.append(zp)
-            rows.append(vals)
+            rows.append(sum(v % p * powers[e * at % lanes] % p for e, v in cq.pairs()) % p)
     return np.array(ks), np.array(zps), np.array(rows, dtype=np.int64)
 
 
@@ -178,59 +176,192 @@ def _solve_lanes(eq: PolynomialEquation, order: int, p: int, w: int, lanes: int)
     return pows[1, pad:]
 
 
-def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
-    """Exact coefficient rows of eq's counting-series root up to z^order.
+def _lift(order: int, bound: int, windows: dict, residues, mirrored: bool = False) -> dict:
+    """Exact rows 0..order of every series in windows, from its lane values.
 
-    The winding window max_w and the lane count L (the smallest power of two
-    above 2 * max_w + 1) follow from eq; raises ValueError if eq is not
-    q -> 1/q symmetric or has a q-dependent z^0 coefficient, and
-    ArithmeticError if any prime's transform leaves a nonzero residue
-    outside the window.
+    windows maps a key to integer arrays (lo, hi) that hold row n's q-support
+    ([lo, hi] empty when lo > hi); |coefficients| < bound / 2.  residues(ps,
+    ws, L) gives each series' values at q = w^t, t < L, modulo each prime p
+    with its root w, as an (order+1, primes, L) array.  Mirrored rows are
+    q -> 1/q symmetric, so only their exponents 0..hi are kept and lifted.
+    Raises ArithmeticError on a residue outside a window or a check-prime
+    mismatch.
     """
-    if order >= _MAX_UNREDUCED:
-        raise ValueError(f"order must be below {_MAX_UNREDUCED}")
-    max_w = _winding_window(eq, order)
-    lanes = 1 << (2 * max_w + 1).bit_length()
-    # coefficients are bounded by the number of 4-letter words
-    primes = _ntt_primes(2 * 4**order, lanes)
-    nprimes = len(primes)
-    half = lanes // 2 + 1
-    mirror = np.concatenate(
-        [np.arange(half), np.arange(half - 2, 0, -1)]
-    )
-
-    stacked = np.empty((order + 1, max_w + 1, nprimes), dtype=np.int32)
-    for i, p in enumerate(primes):
-        w = _root_of_unity(p, lanes)
-        values = _solve_lanes(eq, order, p, w, lanes)
-        rows = _intt_rows(values[:, mirror], p, w)
-        # rows are mirror-symmetric, so slots max_w+1..L/2 cover every
-        # slot outside the window
-        leaked = rows[:, max_w + 1 : half].any(axis=1)
-        if leaked.any():
-            n = int(np.argmax(leaked))
-            raise ArithmeticError(f"winding support leaked outside window at {n} mod {p}")
-        stacked[:, :, i] = rows[:, : max_w + 1]
+    keys = list(windows)
+    lanes = 1 << int(max((hi - lo).max() + 1 for lo, hi in windows.values())).bit_length()
+    *primes, check = _ntt_primes(bound, lanes)
+    slots = np.arange(lanes)
+    first, outside, at, stacked = {}, {}, {}, {}
+    for k, (lo, hi) in windows.items():
+        first[k] = np.zeros_like(lo) if mirrored else lo
+        outside[k] = (slots - lo[:, None]) % lanes > hi[:, None] - lo[:, None]
+        kept = np.arange(max(int((hi - first[k]).max()) + 1, 0))
+        at[k] = (first[k][:, None] + kept) % lanes  # slot of exponent first[n] + s
+        stacked[k] = np.empty((order + 1, len(kept), len(primes) + 1), dtype=np.int32)
+    block = max(1, _BLOCK_COLUMNS // lanes)
+    for start in range(0, len(primes) + 1, block):
+        ps = (primes + [check])[start : start + block]
+        ws = [_root_of_unity(p, lanes) for p in ps]
+        values = residues(ps, ws, lanes)
+        for i, (p, w) in enumerate(zip(ps, ws)):
+            rows = _intt_rows(np.concatenate([values[k][:, i] for k in keys]), p, w)
+            for k, part in zip(keys, np.split(rows, len(keys))):
+                leaked = np.any(part, axis=1, where=outside[k])
+                if leaked.any():
+                    n = int(np.argmax(leaked))
+                    raise ArithmeticError(
+                        f"winding support of {k} leaked outside window at {n} mod {p}"
+                    )
+                stacked[k][:, :, start + i] = np.take_along_axis(part, at[k], 1)
 
     # CRT weights: x = sum(r_i * w_i) mod M, with w_i = 1 mod p_i and 0 mod the others
     modulus = prod(primes)
     weights = np.array(
         [modulus // p * pow(modulus // p, -1, p) for p in primes], dtype=object
     )
-    coeffs = [QPolynomial.constant(1)]
-    for n in range(1, order + 1):
-        lifted = stacked[n, : min(n, max_w) + 1].astype(object).dot(weights) % modulus
-        pairs = []
-        for m, v in enumerate(lifted.tolist()):
-            if not v:
-                continue
-            if 2 * v >= modulus:
-                v -= modulus
-            pairs.append((m, v))
-            if m:
-                pairs.append((-m, v))
-        coeffs.append(QPolynomial.from_pairs(pairs))
-    return QZSeries(order, coeffs)
+    out = {}
+    for k, (_, hi) in windows.items():
+        coeffs = []
+        for n, (lo, width) in enumerate(zip(first[k].tolist(), (hi - first[k] + 1).tolist())):
+            res = stacked[k][n, : max(width, 0)]
+            lifted = (res[:, :-1].astype(object).dot(weights) % modulus).tolist()
+            vals = [v - modulus if 2 * v >= modulus else v for v in lifted]
+            if [v % check for v in vals] != res[:, -1].tolist():
+                raise ArithmeticError(f"CRT lift of {k} at {n} disagrees with check prime {check}")
+            if mirrored:
+                lo, vals = 1 - len(vals), vals[:0:-1] + vals
+            coeffs.append(QPolynomial(lo, vals))
+        out[k] = QZSeries(order, coeffs)
+    return out
+
+
+def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
+    """Exact coefficient rows of eq's counting-series root up to z^order.
+
+    Row n's window is [-w_n, w_n] with w_n = _winding_window(eq, n); raises
+    ValueError if eq is not q -> 1/q symmetric or has a q-dependent z^0
+    coefficient, and ArithmeticError from the lift's checks.
+    """
+    if order >= _MAX_UNREDUCED:
+        raise ValueError(f"order must be below {_MAX_UNREDUCED}")
+    reach = np.array([_winding_window(eq, n) for n in range(order + 1)])
+
+    def residues(primes, roots, lanes):
+        # the rows are symmetric: solve lanes 0..L/2 and mirror the rest
+        half = lanes // 2 + 1
+        mirror = np.concatenate([np.arange(half), np.arange(half - 2, 0, -1)])
+        values = np.empty((order + 1, len(primes), lanes), dtype=np.int64)
+        for i, (p, w) in enumerate(zip(primes, roots)):
+            values[:, i] = _solve_lanes(eq, order, p, w, lanes)[:, mirror]
+        return {"F": values}
+
+    # coefficients are bounded by the number of 4-letter words
+    return _lift(order, 2 * 4**order, {"F": (-reach, reach)}, residues, mirrored=True)["F"]
+
+
+class _Residues:
+    """Series coefficients as their values at q = w^t, t = 0..L-1, modulo p,
+    for several primes p and their roots w; a coefficient is (primes, L)."""
+
+    def __init__(self, primes: list[int], roots: list[int], lanes: int):
+        self.lanes = lanes
+        self.p = np.array(primes, dtype=np.int64)[:, None]
+        self.powers = np.array([_powers(p, w, lanes) for p, w in zip(primes, roots)])
+        self.one = np.ones_like(self.powers)
+        self.scalars: dict[tuple[int, int], np.ndarray] = {}
+
+    def rows(self, order: int) -> np.ndarray:
+        return np.zeros((order + 1, *self.one.shape), dtype=np.int64)
+
+    def conv(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.einsum("ipl,ipl->pl", xs, ys) % self.p
+
+    def combine(self, vals, terms) -> np.ndarray:
+        """The sum of c * q^e * v over vals and the (c, e) of terms."""
+        acc = 0
+        for v, (c, e) in zip(vals, terms):
+            if (c, e) not in self.scalars:
+                at = e * np.arange(self.lanes) % self.lanes
+                self.scalars[c, e] = c % self.p * self.powers[:, at] % self.p
+            acc = acc + self.scalars[c, e] * v
+        return acc % self.p
+
+
+# added to every log2 sum; far above the float error of a sum of < 2^11 terms
+_SLACK = 2.0**-20
+
+
+class _Bounds:
+    """Series coefficients as (lo, hi, log2 mass): q-support inside [lo, hi],
+    absolute values summing to at most 2^mass; zero is (inf, -inf, -inf)."""
+
+    one = np.zeros(3)
+
+    def rows(self, order: int) -> np.ndarray:
+        return np.tile([np.inf, -np.inf, -np.inf], (order + 1, 1))
+
+    @staticmethod
+    def _sum(s: np.ndarray) -> np.ndarray:
+        return np.array([s[:, 0].min(), s[:, 1].max(), np.logaddexp2.reduce(s[:, 2]) + _SLACK])
+
+    def conv(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return self._sum(xs + ys)
+
+    def combine(self, vals, terms) -> np.ndarray:
+        return self._sum(np.array([v + (e, e, log2(abs(c))) for v, (c, e) in zip(vals, terms)]))
+
+
+def _run_system(system, order: int, alg) -> dict:
+    """Rows 0..order of every unknown in alg; coefficients not computed yet
+    read as zero."""
+    rows = {u: alg.rows(order) for u in system.unknowns}
+    for n in range(order + 1):
+        convs = {}
+        for u in system.unknowns:
+            vals, terms = [], []
+            for t in system.equations[u]:
+                j = n - t.z_pow
+                if j < 0 or (j and not t.factors):
+                    continue
+                if not t.factors:
+                    vals.append(alg.one)
+                elif len(t.factors) == 1:
+                    vals.append(rows[t.factors[0]][j])
+                else:
+                    key = (*sorted(t.factors), j)
+                    if key not in convs:
+                        a, b = (rows[f] for f in t.factors)
+                        convs[key] = alg.conv(a[: j + 1], b[j::-1])
+                    vals.append(convs[key])
+                terms.append((t.coeff, t.q_pow))
+            if vals:
+                rows[u][n] = alg.combine(vals, terms)
+    return rows
+
+
+def system_rows(system, order: int) -> dict[str, QZSeries]:
+    """Exact rows up to z^order of every unknown of an EquationSystem.
+
+    Raises what system.check_invariant raises (RuntimeError for a coefficient
+    read before it is computed) and ArithmeticError from the lift's checks.
+    """
+    if order >= _MAX_UNREDUCED:
+        raise ValueError(f"order must be below {_MAX_UNREDUCED}")
+    if max(map(len, system.equations.values())) >= _MAX_UNREDUCED:
+        raise ValueError("too many terms in an equation for an unreduced int64 sum")
+    system.check_invariant()
+    bounds = _run_system(system, order, _Bounds())
+    windows = {
+        u: (np.nan_to_num(b[:, 0], posinf=0).astype(int), np.nan_to_num(b[:, 1], neginf=-1).astype(int))
+        for u, b in bounds.items()
+    }
+    bound = 1 << (ceil(max(b[:, 2].max() for b in bounds.values())) + 1)  # > 2 * |coefficient|
+    return _lift(
+        order,
+        bound,
+        windows,
+        lambda primes, roots, lanes: _run_system(system, order, _Residues(primes, roots, lanes)),
+    )
 
 
 def series_at_q1(eq: PolynomialEquation, order: int) -> list[int]:

@@ -11,20 +11,6 @@ from __future__ import annotations
 from math import comb
 
 
-def _pack(vals: tuple[int, ...], nbytes: int) -> int:
-    return int.from_bytes(
-        b"".join(v.to_bytes(nbytes, "little") for v in vals), "little"
-    )
-
-
-def _unpack(big: int, nbytes: int, count: int) -> list[int]:
-    raw = big.to_bytes(nbytes * count, "little")
-    return [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
-        for i in range(count)
-    ]
-
-
 class QPolynomial:
     """Laurent polynomial in q with integer coefficients, dense from min_exp."""
 
@@ -142,32 +128,11 @@ class QPolynomial:
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if self.is_zero() or other.is_zero():
             return QPolynomial()
-        a, b = self.coeffs, other.coeffs
-        if len(a) * len(b) <= 256:
-            dense = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        dense[i + j] += ai * bj
-            return QPolynomial(self.min_exp + other.min_exp, dense)
-        return self._mul_packed(other)
-
-    def _mul_packed(self, other: "QPolynomial") -> "QPolynomial":
-        # Kronecker substitution: pack each factor into one big integer with
-        # fixed-width slots, multiply once, slice the product back out.
-        a, b = self.coeffs, other.coeffs
-        neg_a = any(c < 0 for c in a)
-        neg_b = any(c < 0 for c in b)
-        if neg_a or neg_b:
-            ap = QPolynomial(self.min_exp, tuple(max(c, 0) for c in a))
-            am = QPolynomial(self.min_exp, tuple(max(-c, 0) for c in a))
-            bp = QPolynomial(other.min_exp, tuple(max(c, 0) for c in b))
-            bm = QPolynomial(other.min_exp, tuple(max(-c, 0) for c in b))
-            return (ap * bp + am * bm) - (ap * bm + am * bp)
-        bound = max(a) * max(b) * min(len(a), len(b))
-        nbytes = (bound.bit_length() + 8) // 8
-        prod = _pack(a, nbytes) * _pack(b, nbytes)
-        dense = _unpack(prod, nbytes, len(a) + len(b) - 1)
+        dense = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ai in enumerate(self.coeffs):
+            if ai:
+                for j, bj in enumerate(other.coeffs):
+                    dense[i + j] += ai * bj
         return QPolynomial(self.min_exp + other.min_exp, dense)
 
     def __repr__(self) -> str:

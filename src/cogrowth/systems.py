@@ -4,28 +4,29 @@ A star-polygon group's Schreier graph is a tree of polygons sharing the root
 vertex, so one-sided return series L_r obey a small polynomial system; the
 full return series F follows from the primitive-return series of each facet.
 The axa presentation of the braid group glues its polygons along edges
-instead, which needs the bigger G/L/F system.  All systems here are solved
-order-by-order in z with exact Laurent-in-q coefficients: each equation is a
-flat list of monomial terms, and every monomial either carries an explicit z
-or a factor with no constant term, which makes coefficient n of the solution
+instead, which needs the bigger G/L/F system.  Each equation is a flat list
+of monomial terms, and every monomial either carries an explicit z or a
+factor with no constant term, which makes coefficient n of the solution
 depend only on data already computed when equations are evaluated in order.
+solve_series hands the system to the lane engine (fastseries.system_rows),
+which solves it order by order modulo primes and lifts exact integer rows;
+SeriesSolution.residual_ok checks a solution by exact substitution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
 
+from .fastseries import system_rows
 from .groups import BRAID_AXA, GroupSpec, STAR_POLYGON
+# series_reciprocal is unused here; perfbench/worker.py traces it by this name
 from .qseries import (
-    QP_ZERO,
     QPolynomial,
     QZSeries,
     parity_transform,
-    q_constant_term,
     series_add,
     series_mul,
     series_reciprocal,
-    series_sub,
 )
 
 
@@ -70,17 +71,24 @@ class EquationSystem:
         return safe
 
     def check_invariant(self) -> None:
-        """Every non-constant monomial must gain at least one z-order."""
+        """Every non-constant monomial must gain at least one z-order, and a
+        term without z may read coefficient n of a factor not yet evaluated
+        (itself or a later unknown) only if its other factor has no constant.
+        """
         safe = self.guarded()
+        position = {u: i for i, u in enumerate(self.unknowns)}
         for u, terms in self.equations.items():
             for t in terms:
                 if len(t.factors) > 2:
                     raise ValueError(f"{u}: more than two factors in a term")
                 if t.factors and t.z_pow == 0 and not any(f in safe for f in t.factors):
                     raise ValueError(f"{u}: term {t} never gains a z-order")
-                for f in t.factors:
+                for i, f in enumerate(t.factors):
                     if f not in self.equations:
                         raise ValueError(f"{u}: unknown factor {f!r}")
+                    other = t.factors[1 - i] if len(t.factors) == 2 else None
+                    if not t.z_pow and position[f] >= position[u] and other not in safe:
+                        raise RuntimeError(f"{u}: order n of {f} needed too early")
 
 
 @dataclass
@@ -218,96 +226,43 @@ def build_axa_system() -> EquationSystem:
     return system
 
 
-class _PairCache:
-    """Convolution coefficients of products of two unknowns, grown lazily.
+def _assembled(system: EquationSystem) -> tuple[EquationSystem, dict[int, str], str]:
+    """system with F and each facet's primitive series among its unknowns.
 
-    While coefficient n of an unknown is being computed, its own entry at
-    order n is missing; any product pairing it with another series is exact
-    anyway whenever the partner's end coefficient is zero, which the system
-    invariant guarantees.  Anything else is a build error, not a math error.
+    A star system's F = 1/(1 - sum of P_i) becomes F = 1 + sum of F*P_i.  A
+    facet without a P unknown (two generators) gets P_i = 1 - 1/L0_i as
+    P_i = U_i - P_i*U_i with U_i = L0_i - 1, as the bigger star systems do.
     """
-
-    def __init__(self, coeffs: dict[str, list[QPolynomial]]):
-        self.coeffs = coeffs
-        self.cache: dict[tuple[str, str], list[QPolynomial]] = {}
-
-    def at(self, a: str, b: str, j: int) -> QPolynomial:
-        key = (a, b) if a <= b else (b, a)
-        conv = self.cache.setdefault(key, [])
-        xs, ys = self.coeffs[key[0]], self.coeffs[key[1]]
-        while len(conv) <= j:
-            n = len(conv)
-            acc = QP_ZERO
-            for i in range(n + 1):
-                if i < len(xs) and n - i < len(ys):
-                    acc = acc + xs[i] * ys[n - i]
-                elif i < len(xs):
-                    if not xs[i].is_zero():
-                        raise RuntimeError(f"order {n} of {key[1]} needed too early")
-                elif n - i < len(ys):
-                    if not ys[n - i].is_zero():
-                        raise RuntimeError(f"order {n} of {key[0]} needed too early")
-                else:
-                    raise RuntimeError(f"orders of {key} both missing at {n}")
-            conv.append(acc)
-        return conv[j]
+    if system.main:
+        return system, {}, system.main
+    unknowns, equations = list(system.unknowns), dict(system.equations)
+    primitive = {}
+    for facet, root in system.facet_roots.items():
+        name = system.facet_primitives.get(facet)
+        if name is None:
+            u, name = f"U{facet}", f"P{facet}"
+            equations[u] = [t for t in equations[root] if t != Term(1, 0, 0)]
+            if len(equations[u]) != len(equations[root]) - 1:
+                raise ValueError(f"{root} needs the constant term 1")
+            equations[name] = [Term(1, 0, 0, (u,)), Term(-1, 0, 0, (name, u))]
+            unknowns += [u, name]
+        primitive[facet] = name
+    equations["F"] = [Term(1, 0, 0)] + [Term(1, 0, 0, ("F", P)) for P in primitive.values()]
+    return EquationSystem(unknowns + ["F"], equations), primitive, "F"
 
 
 def solve_series(system: EquationSystem, order: int) -> SeriesSolution:
     """Exact series solution to the given z-order, plus the assembled F.
 
     Equivalent to iterating the fixed point Y <- Phi(z, Y, q) from Y = 0 until
-    stable, but organised so each coefficient is computed once: the invariant
-    checked at build time means order n of every right side only needs data
-    already present when unknowns are evaluated in system order.
+    stable; the lane engine (fastseries.system_rows) computes each
+    coefficient once, evaluating the unknowns in system order.
     """
-    system.check_invariant()
-    coeffs: dict[str, list[QPolynomial]] = {u: [] for u in system.unknowns}
-    pairs = _PairCache(coeffs)
-    for n in range(order + 1):
-        for u in system.unknowns:
-            acc = QP_ZERO
-            for t in system.equations[u]:
-                j = n - t.z_pow
-                if j < 0:
-                    continue
-                if not t.factors:
-                    if j == 0:
-                        acc = acc + QPolynomial.q_power(t.q_pow, t.coeff)
-                    continue
-                if len(t.factors) == 1:
-                    fac = coeffs[t.factors[0]]
-                    if j >= len(fac):
-                        raise RuntimeError(
-                            f"order {j} of {t.factors[0]} needed too early"
-                        )
-                    val = fac[j]
-                else:
-                    val = pairs.at(t.factors[0], t.factors[1], j)
-                if val.is_zero():
-                    continue
-                if t.coeff != 1:
-                    val = val.scale(t.coeff)
-                acc = acc + val.shift(t.q_pow)
-            coeffs[u].append(acc)
-    series = {u: QZSeries(order, cs) for u, cs in coeffs.items()}
-
-    primitive: dict[int, QZSeries] = {}
-    if system.main:
-        F = series[system.main]
-    else:
-        # returns decompose into primitive returns per facet:
-        # L0 = 1/(1 - P_i) one-sided, F = 1/(1 - sum P_i) overall
-        total = QZSeries(order)
-        for facet, name in system.facet_roots.items():
-            if facet in system.facet_primitives:
-                P = series[system.facet_primitives[facet]]
-            else:
-                P = series_sub(QZSeries.one(order), series_reciprocal(series[name]))
-            primitive[facet] = P
-            total = series_add(total, P)
-        F = series_reciprocal(series_sub(QZSeries.one(order), total))
-    return SeriesSolution(system, order, series, primitive, F)
+    full, names, f_name = _assembled(system)
+    rows = system_rows(full, order)
+    series = {u: rows[u] for u in system.unknowns}
+    primitive = {facet: rows[name] for facet, name in names.items()}
+    return SeriesSolution(system, order, series, primitive, rows[f_name])
 
 
 def system_for(spec: GroupSpec) -> EquationSystem:

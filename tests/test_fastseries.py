@@ -3,17 +3,28 @@
 import pytest
 
 from cogrowth import fastseries
-from cogrowth.algebraic import PolynomialEquation, braid_equation, trefoil_equation
+from cogrowth.algebraic import (
+    PolynomialEquation,
+    axa_q1_equation,
+    braid_equation,
+    trefoil_equation,
+)
 from cogrowth.fastseries import high_order_rows, series_at_q1
 from cogrowth.groups import parse_group_spec
 from cogrowth.qseries import QPolynomial
-from cogrowth.systems import build_star_system, solve_series
+from cogrowth.systems import build_axa_system, build_star_system, solve_series
 
 
 def test_trefoil_rows_match_star_system():
-    sol = solve_series(build_star_system(parse_group_spec("G(2,3)")), 60)
-    fast = high_order_rows(trefoil_equation(), 60)
+    # at order 130 both paths need windows wider than 128 slots: 256 lanes
+    sol = solve_series(build_star_system(parse_group_spec("G(2,3)")), 130)
+    fast = high_order_rows(trefoil_equation(), 130)
     assert fast.coeffs == sol.F.coeffs
+
+
+def test_axa_masses_match_quintic():
+    F = solve_series(build_axa_system(), 120).F
+    assert [p.eval_at_one() for p in F.coeffs] == series_at_q1(axa_q1_equation(), 120)
 
 
 def test_braid_rows_match_direct_expansion():
@@ -85,6 +96,35 @@ def test_narrow_window_leaks(monkeypatch):
     monkeypatch.setattr(fastseries, "_winding_window", lambda eq, order: order // 2 - 1)
     with pytest.raises(ArithmeticError, match="leaked"):
         high_order_rows(eq, 40)
+
+
+def test_system_narrow_window_leaks(monkeypatch):
+    lift = fastseries._lift
+
+    def narrow(order, bound, windows, residues):
+        windows = {k: (lo, hi - 1) for k, (lo, hi) in windows.items()}
+        return lift(order, bound, windows, residues)
+
+    monkeypatch.setattr(fastseries, "_lift", narrow)
+    with pytest.raises(ArithmeticError, match="leaked"):
+        solve_series(build_star_system(parse_group_spec("G(2,3)")), 20)
+
+
+def _too_few_crt_primes(monkeypatch):
+    primes = fastseries._ntt_primes
+    monkeypatch.setattr(fastseries, "_ntt_primes", lambda bound, lanes: primes(1 << 30, lanes))
+
+
+def test_too_few_crt_primes_caught_by_check_prime(monkeypatch):
+    _too_few_crt_primes(monkeypatch)
+    with pytest.raises(ArithmeticError, match="check prime"):
+        high_order_rows(trefoil_equation(), 60)
+
+
+def test_system_too_few_crt_primes_caught_by_check_prime(monkeypatch):
+    _too_few_crt_primes(monkeypatch)
+    with pytest.raises(ArithmeticError, match="check prime"):
+        solve_series(build_axa_system(), 40)
 
 
 def test_order_past_unreduced_int64_bound_rejected():

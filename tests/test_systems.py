@@ -126,6 +126,24 @@ class TestSolveAxa:
         assert solve_series(build_axa_system(), 16).residual_ok()
 
 
+def test_facet_root_without_unit_constant_raises():
+    system = build_star_system(parse_group_spec("G(2,3)"))
+    root = system.equations["L0_1"]
+    system.equations["L0_1"] = [Term(2, 0, 0)] + [t for t in root if t != Term(1, 0, 0)]
+    with pytest.raises(ValueError, match="constant term"):
+        solve_series(system, 5)
+
+
+def test_ill_ordered_system_raises():
+    # A = 1 + B reads B at order n before B = z*A computes it
+    system = EquationSystem(
+        ["A", "B"],
+        {"A": [Term(1, 0, 0), Term(1, 0, 0, ("B",))], "B": [Term(1, 1, 0, ("A",))]},
+    )
+    with pytest.raises(RuntimeError, match="needed too early"):
+        solve_series(system, 5)
+
+
 class TestKTree:
     def test_small_values(self):
         tree, cogrowth = ktree_closed_form(2, 3)
