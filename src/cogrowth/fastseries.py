@@ -1,29 +1,33 @@
-"""Exact series expansion on NTT/CRT lanes, for single equations and systems.
+"""Exact series expansion on NTT/CRT lanes, for equation systems and single equations.
 
-The q-variable is evaluated at all L-th roots of unity modulo a stack of
-26-bit primes p = 1 (mod L), the series is expanded order by order on every
-(prime, lane) pair with numpy, and one driver brings the rows back: an inverse
-transform over the lanes, a check that no residue lies outside the winding
-window, and CRT with a signed lift, checked against one more prime.  Products
-of two residues stay below 2^52, so a sum of fewer than 2^11 of them (one
-power-series convolution at order < 2^11) fits an int64 unreduced.
-high_order_rows solves one polynomial equation whose rows are q -> 1/q
-symmetric, which halves the lanes; row n has q-degree at most slope * n.
+The q-variable is evaluated at the L-th roots of unity modulo a stack of
+26-bit primes p = 1 (mod L).  One kernel, _run_system, expands an
+EquationSystem order by order on every (prime, lane) pair with numpy, and one
+driver brings the rows back: an inverse transform over the lanes, a check
+that no residue lies outside the winding window, and CRT with a signed lift,
+checked against one more prime.  Products of two residues stay below 2^52, so
+a sum of fewer than 2^11 of them (one power-series convolution at order
+< 2^11) fits an int64 unreduced.  The same kernel run on (interval, log2
+mass) triples instead of residues gives each series a provable q-exponent
+window per order and a bound on its coefficients; L is the smallest power of
+two above the widest window that is lifted.
 system_rows solves an EquationSystem on all lanes, since one-sided series are
-not symmetric; the same order-by-order loop run on (interval, log2 mass)
-pairs instead of residues gives each series a provable q-exponent window per
-order and a bound on its coefficients.  L is the smallest power of two above
-the widest window.
+not symmetric.  high_order_rows solves one polynomial equation P(F) = 0 as the
+system F = 1 + z*H of its root with f0 = 1; its rows are q -> 1/q symmetric,
+so only lanes 0..L/2 are solved and the rest mirrored, and its coefficients
+are bounded by the 4^n words of length n.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, log2, prod
+from math import ceil, comb, log2, prod
 
 import numpy as np
 
 from .algebraic import PolynomialEquation, _is_prime, series_solve_polynomial
-from .qseries import QPolynomial, QZSeries
+from .groups import GroupSpec
+from .qseries import QP_ZERO, QPolynomial, QZSeries
 
 # sums of fewer than this many products below p^2 < 2^52 fit an int64
 _MAX_UNREDUCED = 1 << 11
@@ -31,27 +35,116 @@ _MAX_UNREDUCED = 1 << 11
 _BLOCK_COLUMNS = 1024
 
 
-def _winding_window(eq: PolynomialEquation, order: int) -> int:
-    """max_w with f(n, m) = 0 for |m| > max_w and n <= order.
+@dataclass(frozen=True)
+class Term:
+    """coeff * z^z_pow * q^q_pow * product(factors); at most two factors.
 
-    With slope = max |e| / zp over eq's q^e z^zp terms with zp >= 1, row n
-    has q-degree at most slope * n, by induction on n: a z^zp term times rows
-    whose orders sum to n - zp has q-degree at most slope * n, and f_n is
-    divided out by the z^0 coefficients, which carry no q.  Raises ValueError
-    if a coefficient depends on q at z^0 or is not symmetric under q -> 1/q,
-    which the rows need for the lane mirroring.
+    coeff is an int, or a Fraction in the systems that high_order_rows builds.
     """
-    slope = Fraction(0)
-    for zpoly in eq.terms:
+
+    coeff: int | Fraction
+    z_pow: int
+    q_pow: int
+    factors: tuple[str, ...] = ()
+
+
+@dataclass
+class EquationSystem:
+    unknowns: list[str]  # evaluation order
+    equations: dict[str, list[Term]]
+    spec: GroupSpec | None = None
+    facet_roots: dict[int, str] = field(default_factory=dict)  # facet -> L0 name
+    facet_primitives: dict[int, str] = field(default_factory=dict)  # facet -> P name
+    main: str = ""  # unknown assembled into F, "" for star assembly
+
+    def guarded(self) -> set[str]:
+        """Unknowns whose series provably has no constant term.
+
+        Least fixed point: a term contributes no constant if it carries
+        explicit z or some factor already known to vanish at z = 0.
+        """
+        safe: set[str] = set()
+        changed = True
+        while changed:
+            changed = False
+            for u, terms in self.equations.items():
+                if u in safe:
+                    continue
+                if all(
+                    t.z_pow >= 1 or any(f in safe for f in t.factors)
+                    for t in terms
+                ):
+                    safe.add(u)
+                    changed = True
+        return safe
+
+    def check_invariant(self) -> None:
+        """Every non-constant monomial must gain at least one z-order, and a
+        term without z may read coefficient n of a factor not yet evaluated
+        (itself or a later unknown) only if its other factor has no constant.
+        """
+        safe = self.guarded()
+        position = {u: i for i, u in enumerate(self.unknowns)}
+        for u, terms in self.equations.items():
+            for t in terms:
+                if len(t.factors) > 2:
+                    raise ValueError(f"{u}: more than two factors in a term")
+                if t.factors and t.z_pow == 0 and not any(f in safe for f in t.factors):
+                    raise ValueError(f"{u}: term {t} never gains a z-order")
+                for i, f in enumerate(t.factors):
+                    if f not in self.equations:
+                        raise ValueError(f"{u}: unknown factor {f!r}")
+                    other = t.factors[1 - i] if len(t.factors) == 2 else None
+                    if not t.z_pow and position[f] >= position[u] and other not in safe:
+                        raise RuntimeError(f"{u}: order n of {f} needed too early")
+
+
+def _equation_system(eq: PolynomialEquation) -> EquationSystem:
+    """The root of eq with f0 = 1 as the system F = 1 + z*H.
+
+    Substituting F = 1 + G into sum_k c_k F^k gives sum A[zp, j] z^zp G^j with
+    A[zp, j] = sum_k binom(k, j) c_k[zp], Laurent in q.  A[0, 0] = 0 says f0 =
+    1 is a root, and d0 = A[0, 1] must be a nonzero integer; then G = z*H with
+    H = sum -(A[zp, j] / d0) z^(zp+j-1) H^j over the other (zp, j), and every
+    term with a factor carries z.  H^j enters as H * K_(j-1), with K_1 = H and
+    auxiliaries K_m = z^(m-1) H^m = z * H * K_(m-1), so no term has more than
+    two factors.  Raises ValueError if some A[zp, j] is not symmetric under
+    q -> 1/q (the lanes are mirrored), if d0 is not a nonzero integer, or if
+    f0 = 1 is not a root.
+    """
+    A: dict[tuple[int, int], QPolynomial] = {}
+    for k, zpoly in enumerate(eq.terms):
         for zp, cq in zpoly:
-            if not cq.is_symmetric():
-                raise ValueError(f"coefficient of z^{zp} is not symmetric under q -> 1/q")
-            if zp == 0:
-                if cq.max_exp > 0:
-                    raise ValueError("a z^0 coefficient depends on q")
-            else:
-                slope = max(slope, Fraction(cq.max_exp, zp))
-    return slope.numerator * order // slope.denominator
+            for j in range(k + 1):
+                A[zp, j] = A.get((zp, j), QP_ZERO) + cq.scale(comb(k, j))
+    for (zp, _), a in A.items():
+        if not a.is_symmetric():
+            raise ValueError(f"a coefficient of z^{zp} is not symmetric under q -> 1/q")
+    d0 = A.pop((0, 1), QP_ZERO)
+    if d0.is_zero() or d0.max_exp:
+        raise ValueError("the z^0 coefficient of dP/dF at F = 1 is not a nonzero integer")
+    d0 = d0.coeff(0)
+    if not A.pop((0, 0), QP_ZERO).is_zero():
+        raise ValueError(f"f0 = 1 is not a root of {eq.name} at z^0")
+
+    def power(m: int) -> str:
+        return "H" if m == 1 else f"K{m}"
+
+    H = []
+    for (zp, j), a in A.items():
+        # z^(zp+j-1) H^j as z^(zp-1), z^zp * H, or z^(zp+1) * H * K_(j-1)
+        if j == 0:
+            z_pow, factors = zp - 1, ()
+        elif j == 1:
+            z_pow, factors = zp, ("H",)
+        else:
+            z_pow, factors = zp + 1, ("H", power(j - 1))
+        H += [Term(Fraction(-c, d0), z_pow, e, factors) for e, c in a.pairs()]
+    equations = {"H": H}
+    for m in range(2, eq.degree):
+        equations[power(m)] = [Term(1, 1, 0, ("H", power(m - 1)))]
+    equations["F"] = [Term(1, 0, 0), Term(1, 1, 0, ("H",))]
+    return EquationSystem(list(equations), equations)
 
 
 def _ntt_primes(bound: int, lanes: int) -> list[int]:
@@ -115,67 +208,6 @@ def _intt_rows(mat: np.ndarray, p: int, w: int) -> np.ndarray:
     return out * inv_n % p
 
 
-def _lane_coefficients(eq: PolynomialEquation, p: int, w: int, lanes: int):
-    """eq's terms evaluated at q = w^t for t = 0..lanes/2.
-
-    Returns the F-power k and the z-power zp of each term, and a (terms, half)
-    matrix of the term's coefficient on every lane.
-    """
-    at = np.arange(lanes // 2 + 1)
-    powers = _powers(p, w, lanes)
-    ks, zps, rows = [], [], []
-    for k, zpoly in enumerate(eq.terms):
-        for zp, cq in zpoly:
-            ks.append(k)
-            zps.append(zp)
-            rows.append(sum(v % p * powers[e * at % lanes] % p for e, v in cq.pairs()) % p)
-    return np.array(ks), np.array(zps), np.array(rows, dtype=np.int64)
-
-
-def _solve_lanes(eq: PolynomialEquation, order: int, p: int, w: int, lanes: int) -> np.ndarray:
-    """Series root with f0 = 1 on lanes q = w^t, t = 0..lanes/2; shape (order+1, half).
-
-    The powers F^k are pulled one coefficient at a time: the z^n coefficient
-    of F^k is the convolution of F^(k-1) with F, summed over at most order
-    products below p^2 < 2^52 and reduced once.  The residual at order n is
-    one gather of F^k[n - zp] for every term and one reduction.
-    """
-    half = lanes // 2 + 1
-    deg = eq.degree
-    ks, zps, coeffs = _lane_coefficients(eq, p, w, lanes)
-    if len(ks) * (p - 1) ** 2 >= 1 << 63:
-        raise ArithmeticError("too many equation terms for an unreduced int64 residual")
-    at_origin = zps == 0
-    a0 = coeffs[at_origin].sum(axis=0) % p
-    d0 = (ks[at_origin, None] * coeffs[at_origin]).sum(axis=0) % p
-    if a0.any():
-        raise ArithmeticError("f0 = 1 is not a root on some lane")
-    inv_d0 = np.array([pow(int(x), p - 2, p) for x in d0], dtype=np.int64)
-
-    # pows[k, pad + i] = F^k[i]; the zero rows below pad serve terms with zp > n
-    pad = int(zps.max())
-    pows = np.zeros((deg + 1, pad + order + 1, half), dtype=np.int64)
-    pows[:, pad] = 1
-    base = pad - zps
-    rev = np.zeros((order + 1, half), dtype=np.int64)  # rev[order - i] = F[i]
-    rev[order] = 1
-    for n in range(1, order + 1):
-        # F^k[n] = conv + F^(k-1)[n] + f_n (f_0 = 1); leave out every term
-        # that carries f_n, which together add k * f_n
-        for k in range(2, deg + 1):
-            conv = np.einsum(
-                "ij,ij->j", pows[k - 1, pad + 1 : pad + n], rev[order - n + 1 : order]
-            )
-            pows[k, pad + n] = (conv + pows[k - 1, pad + n]) % p
-        r = np.einsum("th,th->h", coeffs, pows[ks, base + n]) % p
-        fn = (p - r) * inv_d0 % p
-        pows[1, pad + n] = fn
-        rev[order - n] = fn
-        for k in range(2, deg + 1):
-            pows[k, pad + n] = (pows[k, pad + n] + k * fn) % p
-    return pows[1, pad:]
-
-
 def _lift(order: int, bound: int, windows: dict, residues, mirrored: bool = False) -> dict:
     """Exact rows 0..order of every series in windows, from its lane values.
 
@@ -235,56 +267,39 @@ def _lift(order: int, bound: int, windows: dict, residues, mirrored: bool = Fals
     return out
 
 
-def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
-    """Exact coefficient rows of eq's counting-series root up to z^order.
-
-    Row n's window is [-w_n, w_n] with w_n = _winding_window(eq, n); raises
-    ValueError if eq is not q -> 1/q symmetric or has a q-dependent z^0
-    coefficient, and ArithmeticError from the lift's checks.
-    """
-    if order >= _MAX_UNREDUCED:
-        raise ValueError(f"order must be below {_MAX_UNREDUCED}")
-    reach = np.array([_winding_window(eq, n) for n in range(order + 1)])
-
-    def residues(primes, roots, lanes):
-        # the rows are symmetric: solve lanes 0..L/2 and mirror the rest
-        half = lanes // 2 + 1
-        mirror = np.concatenate([np.arange(half), np.arange(half - 2, 0, -1)])
-        values = np.empty((order + 1, len(primes), lanes), dtype=np.int64)
-        for i, (p, w) in enumerate(zip(primes, roots)):
-            values[:, i] = _solve_lanes(eq, order, p, w, lanes)[:, mirror]
-        return {"F": values}
-
-    # coefficients are bounded by the number of 4-letter words
-    return _lift(order, 2 * 4**order, {"F": (-reach, reach)}, residues, mirrored=True)["F"]
-
-
 class _Residues:
-    """Series coefficients as their values at q = w^t, t = 0..L-1, modulo p,
-    for several primes p and their roots w; a coefficient is (primes, L)."""
+    """Series coefficients as their values at q = w^t, t < count, modulo p,
+    for several primes p and their L-th roots w; a coefficient is
+    (primes, count)."""
 
-    def __init__(self, primes: list[int], roots: list[int], lanes: int):
-        self.lanes = lanes
+    def __init__(self, primes: list[int], roots: list[int], lanes: int, count: int):
+        self.primes = primes
         self.p = np.array(primes, dtype=np.int64)[:, None]
         self.powers = np.array([_powers(p, w, lanes) for p, w in zip(primes, roots)])
-        self.one = np.ones_like(self.powers)
-        self.scalars: dict[tuple[int, int], np.ndarray] = {}
+        self.slots = np.arange(count)
+        self.lanes = lanes
+        self.one = np.ones((len(primes), count), dtype=np.int64)
 
     def rows(self, order: int) -> np.ndarray:
         return np.zeros((order + 1, *self.one.shape), dtype=np.int64)
 
+    def coefficients(self, groups) -> np.ndarray:
+        """The sum of c * q^e over each group's (c, e) pairs; c / d is c * d^-1."""
+        out = np.zeros((len(groups), *self.one.shape), dtype=np.int64)
+        for acc, pairs in zip(out, groups):
+            for c, e in pairs:
+                c = Fraction(c)
+                scalar = np.array([c.numerator * pow(c.denominator, -1, p) % p for p in self.primes])
+                acc += scalar[:, None] * self.powers[:, e * self.slots % self.lanes] % self.p
+            acc %= self.p
+        return out
+
     def conv(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.einsum("ipl,ipl->pl", xs, ys) % self.p
 
-    def combine(self, vals, terms) -> np.ndarray:
-        """The sum of c * q^e * v over vals and the (c, e) of terms."""
-        acc = 0
-        for v, (c, e) in zip(vals, terms):
-            if (c, e) not in self.scalars:
-                at = e * np.arange(self.lanes) % self.lanes
-                self.scalars[c, e] = c % self.p * self.powers[:, at] % self.p
-            acc = acc + self.scalars[c, e] * v
-        return acc % self.p
+    def combine(self, coeffs: np.ndarray, vals) -> np.ndarray:
+        """The sum of coeffs[g] * vals[g]."""
+        return np.einsum("gpl,gpl->pl", coeffs, np.array(vals)) % self.p
 
 
 # added to every log2 sum; far above the float error of a sum of < 2^11 terms
@@ -304,46 +319,73 @@ class _Bounds:
     def _sum(s: np.ndarray) -> np.ndarray:
         return np.array([s[:, 0].min(), s[:, 1].max(), np.logaddexp2.reduce(s[:, 2]) + _SLACK])
 
+    def coefficients(self, groups) -> np.ndarray:
+        out = []
+        for pairs in groups:
+            mass = sum(abs(Fraction(c)) for c, _ in pairs)
+            exps = [e for _, e in pairs]
+            out.append((min(exps), max(exps), log2(mass.numerator) - log2(mass.denominator)))
+        return np.array(out)
+
     def conv(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return self._sum(xs + ys)
 
-    def combine(self, vals, terms) -> np.ndarray:
-        return self._sum(np.array([v + (e, e, log2(abs(c))) for v, (c, e) in zip(vals, terms)]))
+    def combine(self, coeffs: np.ndarray, vals) -> np.ndarray:
+        return self._sum(coeffs + np.array(vals))
 
 
-def _run_system(system, order: int, alg) -> dict:
+def _run_system(system: EquationSystem, order: int, alg) -> dict:
     """Rows 0..order of every unknown in alg; coefficients not computed yet
-    read as zero."""
+    read as zero.
+
+    An unknown's terms that share z_pow and factors form one group with a
+    q-Laurent coefficient, so each unknown costs one combine per order.  The
+    product coefficients of each factor pair are kept across orders until no
+    term reads them again: one computed before a factor's current
+    coefficient lacks only products with the other factor's constant term,
+    which check_invariant makes zero.
+    """
     rows = {u: alg.rows(order) for u in system.unknowns}
+    groups = {}
+    for u in system.unknowns:
+        grouped: dict[tuple, list] = {}
+        for t in system.equations[u]:
+            grouped.setdefault((t.z_pow, tuple(sorted(t.factors))), []).append((t.coeff, t.q_pow))
+        groups[u] = list(grouped), alg.coefficients(list(grouped.values()))
+    products = {}
+    reach = max(t.z_pow for terms in system.equations.values() for t in terms)
     for n in range(order + 1):
-        convs = {}
         for u in system.unknowns:
-            vals, terms = [], []
-            for t in system.equations[u]:
-                j = n - t.z_pow
-                if j < 0 or (j and not t.factors):
+            keys, coeffs = groups[u]
+            used, vals = [], []
+            for i, (z_pow, factors) in enumerate(keys):
+                j = n - z_pow
+                if j < 0 or (j and not factors):
                     continue
-                if not t.factors:
+                if not factors:
                     vals.append(alg.one)
-                elif len(t.factors) == 1:
-                    vals.append(rows[t.factors[0]][j])
+                elif len(factors) == 1:
+                    vals.append(rows[factors[0]][j])
                 else:
-                    key = (*sorted(t.factors), j)
-                    if key not in convs:
-                        a, b = (rows[f] for f in t.factors)
-                        convs[key] = alg.conv(a[: j + 1], b[j::-1])
-                    vals.append(convs[key])
-                terms.append((t.coeff, t.q_pow))
-            if vals:
-                rows[u][n] = alg.combine(vals, terms)
+                    key = (*factors, j)
+                    if key not in products:
+                        a, b = (rows[f] for f in factors)
+                        products[key] = alg.conv(a[: j + 1], b[j::-1])
+                    vals.append(products[key])
+                used.append(i)
+            if used:
+                rows[u][n] = alg.combine(coeffs[used], vals)
+        for key in [k for k in products if k[-1] <= n - reach]:
+            del products[key]  # later orders read j > n - reach only
     return rows
 
 
-def system_rows(system, order: int) -> dict[str, QZSeries]:
-    """Exact rows up to z^order of every unknown of an EquationSystem.
+def _bounds(system: EquationSystem, order: int):
+    """The bounds pass: every unknown's q-exponent window per row, as integer
+    arrays (lo, hi), and log2 of a bound on the l1 mass of any row.
 
-    Raises what system.check_invariant raises (RuntimeError for a coefficient
-    read before it is computed) and ArithmeticError from the lift's checks.
+    Raises ValueError for an order or an equation too long for unreduced
+    int64 sums, and what system.check_invariant raises.
     """
     if order >= _MAX_UNREDUCED:
         raise ValueError(f"order must be below {_MAX_UNREDUCED}")
@@ -355,12 +397,45 @@ def system_rows(system, order: int) -> dict[str, QZSeries]:
         u: (np.nan_to_num(b[:, 0], posinf=0).astype(int), np.nan_to_num(b[:, 1], neginf=-1).astype(int))
         for u, b in bounds.items()
     }
-    bound = 1 << (ceil(max(b[:, 2].max() for b in bounds.values())) + 1)  # > 2 * |coefficient|
+    return windows, max(b[:, 2].max() for b in bounds.values())
+
+
+def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
+    """Exact coefficient rows of eq's counting-series root up to z^order.
+
+    The root with f0 = 1 is solved as the system F = 1 + z*H on lanes
+    0..L/2, mirrored.  Raises ValueError if eq is not q -> 1/q symmetric,
+    its dP/dF at (z, F) = (0, 1) is not a nonzero integer or f0 = 1 is not
+    a root, and ArithmeticError from the lift's checks.
+    """
+    system = _equation_system(eq)
+    windows, _ = _bounds(system, order)
+
+    def residues(primes, roots, lanes):
+        # the rows are symmetric: solve lanes 0..L/2 and mirror the rest
+        half = lanes // 2 + 1
+        mirror = np.concatenate([np.arange(half), np.arange(half - 2, 0, -1)])
+        rows = _run_system(system, order, _Residues(primes, roots, lanes, half))
+        return {"F": rows["F"][:, :, mirror]}
+
+    # coefficients are bounded by the number of 4-letter words
+    return _lift(order, 2 * 4**order, {"F": windows["F"]}, residues, mirrored=True)["F"]
+
+
+def system_rows(system: EquationSystem, order: int) -> dict[str, QZSeries]:
+    """Exact rows up to z^order of every unknown of an EquationSystem.
+
+    Raises what system.check_invariant raises (RuntimeError for a coefficient
+    read before it is computed) and ArithmeticError from the lift's checks.
+    """
+    windows, mass = _bounds(system, order)
     return _lift(
         order,
-        bound,
+        1 << (ceil(mass) + 1),  # > 2 * |coefficient|
         windows,
-        lambda primes, roots, lanes: _run_system(system, order, _Residues(primes, roots, lanes)),
+        lambda primes, roots, lanes: _run_system(
+            system, order, _Residues(primes, roots, lanes, lanes)
+        ),
     )
 
 

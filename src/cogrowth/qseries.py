@@ -277,23 +277,6 @@ def parity_transform(a: QZSeries, mode: str) -> QZSeries:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def parity_inverse(a: QZSeries, mode: str, order: int) -> QZSeries:
-    if mode == "even":
-        out = QZSeries(order)
-        for n in range(order // 2 + 1):
-            if n <= a.order:
-                out.coeffs[2 * n] = a.coeffs[n]
-        return out
-    if mode == "odd":
-        out = QZSeries(order)
-        for n in range(min(order, a.order) + 1):
-            out.coeffs[n] = QPolynomial.from_pairs(
-                (2 * m - n, c) for m, c in a.coeffs[n].pairs()
-            )
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def loop_basis(p: QPolynomial, n: int) -> list[int]:
     """Write a symmetric polynomial as sum of d_l * (q + 1/q)^l, l = 0..n."""
     if not p.is_symmetric():

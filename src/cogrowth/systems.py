@@ -14,10 +14,11 @@ SeriesSolution.residual_ok checks a solution by exact substitution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
-from .fastseries import system_rows
+# Term and EquationSystem live beside the kernel that interprets them
+from .fastseries import EquationSystem, Term, system_rows
 from .groups import BRAID_AXA, GroupSpec, STAR_POLYGON
 # series_reciprocal is unused here; perfbench/worker.py traces it by this name
 from .qseries import (
@@ -28,67 +29,6 @@ from .qseries import (
     series_mul,
     series_reciprocal,
 )
-
-
-@dataclass(frozen=True)
-class Term:
-    """coeff * z^z_pow * q^q_pow * product(factors); at most two factors."""
-
-    coeff: int
-    z_pow: int
-    q_pow: int
-    factors: tuple[str, ...] = ()
-
-
-@dataclass
-class EquationSystem:
-    unknowns: list[str]  # evaluation order
-    equations: dict[str, list[Term]]
-    spec: GroupSpec | None = None
-    facet_roots: dict[int, str] = field(default_factory=dict)  # facet -> L0 name
-    facet_primitives: dict[int, str] = field(default_factory=dict)  # facet -> P name
-    main: str = ""  # unknown assembled into F, "" for star assembly
-
-    def guarded(self) -> set[str]:
-        """Unknowns whose series provably has no constant term.
-
-        Least fixed point: a term contributes no constant if it carries
-        explicit z or some factor already known to vanish at z = 0.
-        """
-        safe: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for u, terms in self.equations.items():
-                if u in safe:
-                    continue
-                if all(
-                    t.z_pow >= 1 or any(f in safe for f in t.factors)
-                    for t in terms
-                ):
-                    safe.add(u)
-                    changed = True
-        return safe
-
-    def check_invariant(self) -> None:
-        """Every non-constant monomial must gain at least one z-order, and a
-        term without z may read coefficient n of a factor not yet evaluated
-        (itself or a later unknown) only if its other factor has no constant.
-        """
-        safe = self.guarded()
-        position = {u: i for i, u in enumerate(self.unknowns)}
-        for u, terms in self.equations.items():
-            for t in terms:
-                if len(t.factors) > 2:
-                    raise ValueError(f"{u}: more than two factors in a term")
-                if t.factors and t.z_pow == 0 and not any(f in safe for f in t.factors):
-                    raise ValueError(f"{u}: term {t} never gains a z-order")
-                for i, f in enumerate(t.factors):
-                    if f not in self.equations:
-                        raise ValueError(f"{u}: unknown factor {f!r}")
-                    other = t.factors[1 - i] if len(t.factors) == 2 else None
-                    if not t.z_pow and position[f] >= position[u] and other not in safe:
-                        raise RuntimeError(f"{u}: order n of {f} needed too early")
 
 
 @dataclass

@@ -7,6 +7,7 @@ from cogrowth.algebraic import (
     PolynomialEquation,
     axa_q1_equation,
     braid_equation,
+    series_solve_polynomial,
     trefoil_equation,
 )
 from cogrowth.fastseries import high_order_rows, series_at_q1
@@ -28,11 +29,15 @@ def test_axa_masses_match_quintic():
 
 
 def test_braid_rows_match_direct_expansion():
-    from cogrowth.algebraic import series_solve_polynomial
-
     slow = series_solve_polynomial(braid_equation(), 1, 60)
     fast = high_order_rows(braid_equation(), 60)
     assert fast.coeffs == slow.coeffs
+
+
+def test_quintic_rows_match_direct_expansion():
+    # degree 5: H^5 enters through the auxiliaries K2, K3 and K4
+    slow = series_solve_polynomial(axa_q1_equation(), 1, 60)
+    assert high_order_rows(axa_q1_equation(), 60).coeffs == slow.coeffs
 
 
 def test_q1_masses_agree_with_rows():
@@ -58,8 +63,6 @@ def test_rows_agree_across_lane_sizes():
 
 
 def test_lowest_orders():
-    from cogrowth.algebraic import series_solve_polynomial
-
     for eq in (trefoil_equation(), braid_equation()):
         for order in range(4):
             slow = series_solve_polynomial(eq, 1, order)
@@ -91,11 +94,22 @@ def test_q_dependent_origin_coefficient_rejected():
         high_order_rows(eq, 10)
 
 
+def test_f0_not_a_root_rejected():
+    eq = _with_term(braid_equation(), 0, 0, QPolynomial.constant(1))
+    with pytest.raises(ValueError, match="not a root"):
+        high_order_rows(eq, 10)
+
+
 def test_narrow_window_leaks(monkeypatch):
-    eq = trefoil_equation()
-    monkeypatch.setattr(fastseries, "_winding_window", lambda eq, order: order // 2 - 1)
+    lift = fastseries._lift
+
+    def narrow(order, bound, windows, residues, mirrored=False):
+        windows = {k: (lo + 1, hi - 1) for k, (lo, hi) in windows.items()}
+        return lift(order, bound, windows, residues, mirrored)
+
+    monkeypatch.setattr(fastseries, "_lift", narrow)
     with pytest.raises(ArithmeticError, match="leaked"):
-        high_order_rows(eq, 40)
+        high_order_rows(trefoil_equation(), 40)
 
 
 def test_system_narrow_window_leaks(monkeypatch):

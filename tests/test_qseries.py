@@ -7,7 +7,6 @@ from cogrowth.qseries import (
     QPolynomial,
     QZSeries,
     loop_basis,
-    parity_inverse,
     parity_transform,
     q_constant_term,
     series_add,
@@ -119,11 +118,13 @@ class TestParity:
         with pytest.raises(ValueError):
             parity_transform(zseries(2, (1, [(0, 1)])), "odd")
 
-    def test_round_trips(self):
+    def test_transform_outputs(self):
         a = zseries(4, (0, [(0, 1)]), (2, [(2, 3), (0, 1), (-2, 3)]), (4, [(0, 7)]))
-        assert parity_inverse(parity_transform(a, "even"), "even", 4) == a
+        assert parity_transform(a, "even") == zseries(
+            2, (0, [(0, 1)]), (1, [(2, 3), (0, 1), (-2, 3)]), (2, [(0, 7)])
+        )
         b = zseries(3, (1, [(1, 2), (-1, 5)]), (3, [(3, 1), (-1, 4)]))
-        assert parity_inverse(parity_transform(b, "odd"), "odd", 3) == b
+        assert parity_transform(b, "odd") == zseries(3, (1, [(1, 2), (0, 5)]), (3, [(3, 1), (1, 4)]))
 
     def test_mass_preserved(self):
         b = zseries(3, (1, [(1, 2), (-1, 5)]), (3, [(3, 1), (-1, -4)]))
