@@ -11,11 +11,9 @@ import math
 
 from cogrowth.algebraic import braid_equation
 from cogrowth.asymptotics import algebraic_moments, growth_and_moments, minimal_poly_check
-from cogrowth.cli import AXA_GROWTH_POLY, TREFOIL_GROWTH_POLY
+from cogrowth.cli import AXA_GROWTH_POLY, TREFOIL_GROWTH_POLY, TREFOIL_VARIANCE_POLY
 from cogrowth.groups import parse_group_spec
 from cogrowth.systems import build_axa_system, build_star_system
-
-TREFOIL_VARIANCE_POLY = [-1, -60, 512, -904, 452]
 
 
 def star_law(name):

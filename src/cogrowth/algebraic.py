@@ -320,6 +320,8 @@ def _primes_below(start: int, count: int) -> list[int]:
 
 
 _FILTER_PRIMES = _primes_below(1 << 26, 2)
+# terms guess_recurrence needs beyond the largest shape's unknown count
+_GUESS_MARGIN = 50
 
 
 def _columns(order: int, degree: int) -> list[tuple[int, int]]:
@@ -410,9 +412,7 @@ def _rational_reconstruct(u: int, m: int) -> tuple[int, int] | None:
     return p, q
 
 
-def guess_recurrence(
-    seq, max_order: int, max_degree: int, margin: int = 50
-) -> Recurrence | None:
+def guess_recurrence(seq, max_order: int, max_degree: int) -> Recurrence | None:
     """Smallest-matrix recurrence with poly coefficients annihilating seq.
 
     Candidate shapes (order, degree) are tried by ascending unknown count so
@@ -422,7 +422,7 @@ def guess_recurrence(
     validation for free.
     """
     seq = [int(s) for s in seq]
-    need = (max_order + 1) * (max_degree + 1) + margin
+    need = (max_order + 1) * (max_degree + 1) + _GUESS_MARGIN
     if len(seq) < need:
         raise ValueError(f"insufficient terms: have {len(seq)}, need {need}")
     shapes = sorted(

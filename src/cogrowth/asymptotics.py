@@ -10,6 +10,7 @@ go through a shifted-mantissa helper instead of float(x).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .qseries import QPolynomial
 from .systems import EquationSystem
 
 LN2 = math.log(2.0)
+_VALUE_ITERATIONS = 5000  # _value_iterate gives up after this many steps
 
 
 def log_int(x: int) -> float:
@@ -43,8 +45,6 @@ class LimitLaw:
     mu: float
     lam: float
     sigma2: float
-    alpha: float | None = None
-    amplitude: float | None = None
 
 
 def _phi(system: EquationSystem, z: float, Y: dict[str, float], q: float) -> dict[str, float]:
@@ -83,11 +83,10 @@ def _jacobian(system: EquationSystem, z: float, Y: dict[str, float], q: float):
     return M, phi_z
 
 
-def _value_iterate(system: EquationSystem, z: float, q: float,
-                   max_iter: int = 5000) -> dict[str, float] | None:
+def _value_iterate(system: EquationSystem, z: float, q: float) -> dict[str, float] | None:
     """Fixed point of Y <- Phi from Y = 0, or None when it blows up."""
     Y = {u: 0.0 for u in system.unknowns}
-    for _ in range(max_iter):
+    for _ in range(_VALUE_ITERATIONS):
         nxt = _phi(system, z, Y, q)
         delta = 0.0
         big = 0.0
@@ -282,6 +281,7 @@ def _moments_at_step(zc_of_q, h: float, z1: float) -> tuple[float, float]:
 
 
 def _moments(zc_of_q) -> LimitLaw:
+    zc_of_q = functools.cache(zc_of_q)  # both steps' stencils read q = 1 +- h: 7 solves
     z1 = zc_of_q(1.0)
     h = 1e-3
     lam_a, sig_a = _moments_at_step(zc_of_q, h, z1)

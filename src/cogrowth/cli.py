@@ -24,17 +24,17 @@ from .asymptotics import (
     minimal_poly_check,
     variance_sequence,
 )
-from .fastseries import high_order_rows
 from .groups import BRAID_AXA, BRAID_STANDARD, GroupSpec, parse_group_spec
 from .oracle import DEFAULT_STATE_CAP, count_closed_walks, count_one_sided_walks
-from .qseries import QZSeries
-from .systems import solve_series, system_for
+# solve_series is unused here; perfbench/worker.py traces it by this name
+from .systems import group_series, solve_series, system_for
 
 STATE_CAP_ENV = "COGROWTH_STATE_CAP"
 
 AXA_GROWTH_POLY = [-108, 1192, 7788, -12888, -8940, 9136, 6598, -130, -763, -88, 24, 4]
 TREFOIL_GROWTH_POLY = [4, 12, -11, -2, 1]  # m^4 - 2m^3 - 11m^2 + 12m + 4
 BRAID_GROWTH_POLY = [-7, -2, 1]
+TREFOIL_VARIANCE_POLY = [-1, -60, 512, -904, 452]  # sigma^2 is its smallest positive root
 
 
 def nonnegative(text: str) -> int:
@@ -60,21 +60,9 @@ def _write_csv(path: str, rows) -> None:
             fh.write(f"{n},{m},{v}\n")
 
 
-def _series_for(spec: GroupSpec, order: int, unknown: str | None) -> QZSeries:
-    if spec.variant == BRAID_STANDARD and not unknown:
-        return high_order_rows(braid_equation(), order)
-    sol = solve_series(system_for(spec), order)
-    if not unknown:
-        return sol.F
-    name = unknown.replace(":", "_")
-    if name not in sol.series:
-        raise ValueError(f"unknown series {unknown!r}; have {sorted(sol.series)}")
-    return sol.series[name]
-
-
 def cmd_series(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.group)
-    series = _series_for(spec, args.order, args.unknown)
+    series = group_series(spec, args.order, args.unknown)
     doc = {"group": args.group, "order": args.order, "unknown": args.unknown or "F"}
     if args.q0:
         center = [p.coeff(0) for p in series.coeffs]
@@ -102,11 +90,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         table = count_one_sided_walks(
             spec, args.facet, args.order, max_len_cap=args.order, state_cap=cap
         )
-    counts = [
-        {"n": n, "m": m, "f": str(v)}
-        for (n, m), v in sorted(table.counts.items())
-        if v
-    ]
+    counts = table.rows_json()
     _dump({"group": args.group, "counts": counts}, args.out)
     if args.csv:
         _write_csv(args.csv, ((c["n"], c["m"], c["f"]) for c in counts))
@@ -143,7 +127,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         law = algebraic_moments(braid_equation())
     else:
         law = growth_and_moments(system_for(spec))
-    series = _series_for(spec, args.order, None)
+    series = group_series(spec, args.order, None)
     center = [p.coeff(0) for p in series.coeffs]
     try:
         alpha, amplitude = exponent_fit(center, law.mu)
@@ -222,11 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cogrowth")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, order_flag="--order", default=None):
+    def common(p, order_flag="--order"):
         p.add_argument("--group", required=True)
-        p.add_argument(
-            order_flag, dest="order", type=nonnegative, required=default is None, default=default
-        )
+        p.add_argument(order_flag, dest="order", type=nonnegative, required=True)
         p.add_argument("--out")
 
     p = sub.add_parser("series", help="exact q-tracked series of a group")
@@ -244,8 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--digits", type=int, default=8)
 
-    p = sub.add_parser("asymptotics", help="growth/moment report")
-    common(p, default=120)
+    p = sub.add_parser(
+        "asymptotics",
+        help="growth/moment report; alpha needs --order >= 200, "
+        "or >= 400 for parity-locked presentations",
+    )
+    common(p)
 
     p = sub.add_parser("guess", help="fit a polynomial-coefficient recurrence")
     p.add_argument("--in", dest="infile", required=True)

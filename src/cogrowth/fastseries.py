@@ -3,14 +3,15 @@
 The q-variable is evaluated at the L-th roots of unity modulo a stack of
 26-bit primes p = 1 (mod L).  One kernel, _run_system, expands an
 EquationSystem order by order on every (prime, lane) pair with numpy, and one
-driver brings the rows back: an inverse transform over the lanes, a check
-that no residue lies outside the winding window, and CRT with a signed lift,
-checked against one more prime.  Products of two residues stay below 2^52, so
-a sum of fewer than 2^11 of them (one power-series convolution at order
-< 2^11) fits an int64 unreduced.  The same kernel run on (interval, log2
-mass) triples instead of residues gives each series a provable q-exponent
-window per order and a bound on its coefficients; L is the smallest power of
-two above the widest window that is lifted.
+routine, _lift, brings back the rows of the unknowns its caller names, and of
+no other: an inverse transform over the lanes, a check that no residue lies
+outside the winding window, and CRT with a signed lift, checked against one
+more prime.  Products of two residues stay below 2^52, so a sum of fewer
+than 2^11 of them (one power-series convolution at order < 2^11) fits an
+int64 unreduced.  The same kernel run on (interval, log2 mass) triples
+instead of residues gives each series a provable q-exponent window per order
+and a bound on its coefficients; L is the smallest power of two above the
+widest window that is lifted, and the CRT bound is the largest mass lifted.
 system_rows solves an EquationSystem on all lanes, since one-sided series are
 not symmetric.  high_order_rows solves one polynomial equation P(F) = 0 as the
 system F = 1 + z*H of its root with f0 = 1; its rows are q -> 1/q symmetric,
@@ -26,7 +27,6 @@ from math import ceil, comb, log2, prod
 import numpy as np
 
 from .algebraic import PolynomialEquation, _is_prime, series_solve_polynomial
-from .groups import GroupSpec
 from .qseries import QP_ZERO, QPolynomial, QZSeries
 
 # sums of fewer than this many products below p^2 < 2^52 fit an int64
@@ -52,7 +52,6 @@ class Term:
 class EquationSystem:
     unknowns: list[str]  # evaluation order
     equations: dict[str, list[Term]]
-    spec: GroupSpec | None = None
     facet_roots: dict[int, str] = field(default_factory=dict)  # facet -> L0 name
     facet_primitives: dict[int, str] = field(default_factory=dict)  # facet -> P name
     main: str = ""  # unknown assembled into F, "" for star assembly
@@ -208,20 +207,29 @@ def _intt_rows(mat: np.ndarray, p: int, w: int) -> np.ndarray:
     return out * inv_n % p
 
 
-def _lift(order: int, bound: int, windows: dict, residues, mirrored: bool = False) -> dict:
-    """Exact rows 0..order of every series in windows, from its lane values.
+def _lift(
+    system: EquationSystem, order: int, names: list[str], *, mirrored: bool, bound: int | None
+) -> dict:
+    """Exact rows 0..order of the named unknowns of system, from their lane values.
 
-    windows maps a key to integer arrays (lo, hi) that hold row n's q-support
-    ([lo, hi] empty when lo > hi); |coefficients| < bound / 2.  residues(ps,
-    ws, L) gives each series' values at q = w^t, t < L, modulo each prime p
-    with its root w, as an (order+1, primes, L) array.  Mirrored rows are
-    q -> 1/q symmetric, so only their exponents 0..hi are kept and lifted.
-    Raises ArithmeticError on a residue outside a window or a check-prime
-    mismatch.
+    The bounds pass gives each named series' q-window per row; L is the
+    smallest power of two above the widest.  Every prime block runs
+    _run_system on lanes 0..L-1, or on lanes 0..L/2 when mirrored (q -> 1/q
+    symmetric rows) with the rest mirrored; only the named series are
+    transformed back, and mirrored rows keep and lift exponents 0..hi only.
+    Unknowns that are not named may wrap around the lanes: evaluation at a
+    root of unity is a ring map, so the named values stay exact.  The CRT
+    takes |coefficients| < bound / 2, or, when bound is None, the bounds
+    pass's mass bound over the named series.  Raises ArithmeticError on a
+    residue outside a window or a check-prime mismatch.
     """
-    keys = list(windows)
+    windows, mass = _bounds(system, order, names)
+    if bound is None:
+        bound = 1 << (ceil(mass) + 1)  # > 2 * |coefficient|
     lanes = 1 << int(max((hi - lo).max() + 1 for lo, hi in windows.values())).bit_length()
     *primes, check = _ntt_primes(bound, lanes)
+    solved = lanes // 2 + 1 if mirrored else lanes
+    mirror = np.concatenate([np.arange(solved), np.arange(lanes - solved, 0, -1)])
     slots = np.arange(lanes)
     first, outside, at, stacked = {}, {}, {}, {}
     for k, (lo, hi) in windows.items():
@@ -234,10 +242,11 @@ def _lift(order: int, bound: int, windows: dict, residues, mirrored: bool = Fals
     for start in range(0, len(primes) + 1, block):
         ps = (primes + [check])[start : start + block]
         ws = [_root_of_unity(p, lanes) for p in ps]
-        values = residues(ps, ws, lanes)
+        values = _run_system(system, order, _Residues(ps, ws, lanes, solved))
         for i, (p, w) in enumerate(zip(ps, ws)):
-            rows = _intt_rows(np.concatenate([values[k][:, i] for k in keys]), p, w)
-            for k, part in zip(keys, np.split(rows, len(keys))):
+            mat = np.concatenate([values[k][:, i, mirror] for k in names])
+            rows = _intt_rows(mat, p, w)
+            for k, part in zip(names, np.split(rows, len(names))):
                 leaked = np.any(part, axis=1, where=outside[k])
                 if leaked.any():
                     n = int(np.argmax(leaked))
@@ -245,6 +254,7 @@ def _lift(order: int, bound: int, windows: dict, residues, mirrored: bool = Fals
                         f"winding support of {k} leaked outside window at {n} mod {p}"
                     )
                 stacked[k][:, :, start + i] = np.take_along_axis(part, at[k], 1)
+        del values  # every unknown's lane values: not kept through the next block's solve
 
     # CRT weights: x = sum(r_i * w_i) mod M, with w_i = 1 mod p_i and 0 mod the others
     modulus = prod(primes)
@@ -380,9 +390,10 @@ def _run_system(system: EquationSystem, order: int, alg) -> dict:
     return rows
 
 
-def _bounds(system: EquationSystem, order: int):
-    """The bounds pass: every unknown's q-exponent window per row, as integer
-    arrays (lo, hi), and log2 of a bound on the l1 mass of any row.
+def _bounds(system: EquationSystem, order: int, names: list[str]):
+    """The bounds pass: each named unknown's q-exponent window per row, as
+    integer arrays (lo, hi), and log2 of a bound on the l1 mass of any of
+    their rows.
 
     Raises ValueError for an order or an equation too long for unreduced
     int64 sums, and what system.check_invariant raises.
@@ -393,50 +404,35 @@ def _bounds(system: EquationSystem, order: int):
         raise ValueError("too many terms in an equation for an unreduced int64 sum")
     system.check_invariant()
     bounds = _run_system(system, order, _Bounds())
+    picked = [bounds[u] for u in names]
     windows = {
         u: (np.nan_to_num(b[:, 0], posinf=0).astype(int), np.nan_to_num(b[:, 1], neginf=-1).astype(int))
-        for u, b in bounds.items()
+        for u, b in zip(names, picked)
     }
-    return windows, max(b[:, 2].max() for b in bounds.values())
+    return windows, max(b[:, 2].max() for b in picked)
 
 
 def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
     """Exact coefficient rows of eq's counting-series root up to z^order.
 
     The root with f0 = 1 is solved as the system F = 1 + z*H on lanes
-    0..L/2, mirrored.  Raises ValueError if eq is not q -> 1/q symmetric,
-    its dP/dF at (z, F) = (0, 1) is not a nonzero integer or f0 = 1 is not
-    a root, and ArithmeticError from the lift's checks.
+    0..L/2, mirrored, and only F is lifted; its coefficients are bounded by
+    the number of 4-letter words.  Raises ValueError if eq is not q -> 1/q
+    symmetric, its dP/dF at (z, F) = (0, 1) is not a nonzero integer or
+    f0 = 1 is not a root, and ArithmeticError from the lift's checks.
     """
     system = _equation_system(eq)
-    windows, _ = _bounds(system, order)
-
-    def residues(primes, roots, lanes):
-        # the rows are symmetric: solve lanes 0..L/2 and mirror the rest
-        half = lanes // 2 + 1
-        mirror = np.concatenate([np.arange(half), np.arange(half - 2, 0, -1)])
-        rows = _run_system(system, order, _Residues(primes, roots, lanes, half))
-        return {"F": rows["F"][:, :, mirror]}
-
-    # coefficients are bounded by the number of 4-letter words
-    return _lift(order, 2 * 4**order, {"F": windows["F"]}, residues, mirrored=True)["F"]
+    return _lift(system, order, ["F"], mirrored=True, bound=2 * 4**order)["F"]
 
 
-def system_rows(system: EquationSystem, order: int) -> dict[str, QZSeries]:
-    """Exact rows up to z^order of every unknown of an EquationSystem.
+def system_rows(system: EquationSystem, order: int, read: list[str]) -> dict[str, QZSeries]:
+    """Exact rows up to z^order of the unknowns named in read, and of no other.
 
-    Raises what system.check_invariant raises (RuntimeError for a coefficient
-    read before it is computed) and ArithmeticError from the lift's checks.
+    The CRT bound is the mass bound over the read series alone.  Raises what
+    system.check_invariant raises (RuntimeError for a coefficient read
+    before it is computed) and ArithmeticError from the lift's checks.
     """
-    windows, mass = _bounds(system, order)
-    return _lift(
-        order,
-        1 << (ceil(mass) + 1),  # > 2 * |coefficient|
-        windows,
-        lambda primes, roots, lanes: _run_system(
-            system, order, _Residues(primes, roots, lanes, lanes)
-        ),
-    )
+    return _lift(system, order, read, mirrored=False, bound=None)
 
 
 def series_at_q1(eq: PolynomialEquation, order: int) -> list[int]:

@@ -70,9 +70,6 @@ class NormalForm:
     suffix: tuple = ()
     word: str = ""  # BraidStandard only; suffix stays ()
 
-    def is_identity(self) -> bool:
-        return self.delta_exp == 0 and not self.suffix and not self.word
-
     def in_delta_subgroup(self) -> bool:
         return not self.suffix and not self.word
 

@@ -35,9 +35,6 @@ class WalkCountTable:
     def row(self, n: int) -> dict[int, int]:
         return {m: f for (nn, m), f in self.counts.items() if nn == n and f}
 
-    def total(self, n: int) -> int:
-        return sum(self.row(n).values())
-
     def rows_json(self) -> list[dict]:
         # decimal strings: counts outgrow 53-bit floats quickly
         items = sorted((n, m, f) for (n, m), f in self.counts.items() if f)
@@ -52,7 +49,6 @@ def _walk_table(
     spec: GroupSpec,
     max_len: int,
     keep,
-    record,
     max_len_cap: int,
     state_cap: int,
 ) -> dict[tuple[int, int], int]:
@@ -63,7 +59,7 @@ def _walk_table(
     seen: set[NormalForm] = {IDENTITY}
     counts: dict[tuple[int, int], int] = {}
     for nf, c in layer.items():
-        if record(nf):
+        if nf.in_delta_subgroup():
             counts[(0, nf.delta_exp)] = c
     for n in range(1, max_len + 1):
         nxt: dict[NormalForm, int] = {}
@@ -80,7 +76,7 @@ def _walk_table(
             )
         layer = nxt
         for nf, c in layer.items():
-            if record(nf):
+            if nf.in_delta_subgroup():
                 counts[(n, nf.delta_exp)] = c
     return counts
 
@@ -96,7 +92,6 @@ def count_closed_walks(
         spec,
         max_len,
         keep=lambda nf: True,
-        record=NormalForm.in_delta_subgroup,
         max_len_cap=max_len_cap,
         state_cap=state_cap,
     )
@@ -117,7 +112,6 @@ def count_one_sided_walks(
         spec,
         max_len,
         keep=lambda nf: one_sided_allowed(spec, nf, facet),
-        record=NormalForm.in_delta_subgroup,
         max_len_cap=max_len_cap,
         state_cap=state_cap,
     )

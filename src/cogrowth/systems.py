@@ -9,17 +9,19 @@ of monomial terms, and every monomial either carries an explicit z or a
 factor with no constant term, which makes coefficient n of the solution
 depend only on data already computed when equations are evaluated in order.
 solve_series hands the system to the lane engine (fastseries.system_rows),
-which solves it order by order modulo primes and lifts exact integer rows;
-SeriesSolution.residual_ok checks a solution by exact substitution.
+which solves it order by order modulo primes and lifts exact integer rows of
+the series its caller returns; SeriesSolution.residual_ok checks a solution
+by exact substitution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
 
+from .algebraic import braid_equation
 # Term and EquationSystem live beside the kernel that interprets them
-from .fastseries import EquationSystem, Term, system_rows
-from .groups import BRAID_AXA, GroupSpec, STAR_POLYGON
+from .fastseries import EquationSystem, Term, high_order_rows, system_rows
+from .groups import BRAID_AXA, BRAID_STANDARD, GroupSpec, STAR_POLYGON
 # series_reciprocal is unused here; perfbench/worker.py traces it by this name
 from .qseries import (
     QPolynomial,
@@ -33,10 +35,12 @@ from .qseries import (
 
 @dataclass
 class SeriesSolution:
+    """Exact rows of every unknown of system (series, by name) and of the
+    assembled return series F; auxiliaries added for F are not kept."""
+
     system: EquationSystem
     order: int
     series: dict[str, QZSeries]
-    primitive: dict[int, QZSeries]  # facet -> P_i (star only)
     F: QZSeries
 
     def residual_ok(self) -> bool:
@@ -104,16 +108,7 @@ def build_star_system(spec: GroupSpec) -> EquationSystem:
         ] + [Term(1, 1, -1, (l_name(0, i), d)) for d in detours]
     if k > 2:
         for i in range(1, k + 1):
-            p = spec.periods[i - 1]
-            prims[i] = f"P{i}"
-            equations[f"U{i}"] = [
-                Term(1, 1, 0, (l_name(1, i),)),
-                Term(1, 1, 1, (l_name(p - 1, i),)),
-            ]
-            equations[f"P{i}"] = [
-                Term(1, 0, 0, (f"U{i}",)),
-                Term(-1, 0, 0, (f"P{i}", f"U{i}")),
-            ]
+            prims[i] = _add_primitive(equations, roots[i], i)
             equations[f"R{i}"] = [Term(1, 0, 0)] + [
                 Term(1, 0, 0, (f"R{i}", f"P{j}"))
                 for j in range(1, k + 1)
@@ -122,9 +117,7 @@ def build_star_system(spec: GroupSpec) -> EquationSystem:
         unknowns += [f"U{i}" for i in range(1, k + 1)]
         unknowns += [f"P{i}" for i in range(1, k + 1)]
         unknowns += [f"R{i}" for i in range(1, k + 1)]
-    system = EquationSystem(
-        unknowns, equations, spec=spec, facet_roots=roots, facet_primitives=prims
-    )
+    system = EquationSystem(unknowns, equations, facet_roots=roots, facet_primitives=prims)
     system.check_invariant()
     return system
 
@@ -161,34 +154,41 @@ def build_axa_system() -> EquationSystem:
     }
     order = ["L00", "L01", "L10", "G00", "G01", "G02", "G10", "G20",
              "F00", "F01", "F02"]
-    system = EquationSystem(order, equations, spec=None, main="F00")
+    system = EquationSystem(order, equations, main="F00")
     system.check_invariant()
     return system
 
 
-def _assembled(system: EquationSystem) -> tuple[EquationSystem, dict[int, str], str]:
-    """system with F and each facet's primitive series among its unknowns.
+def _add_primitive(equations: dict[str, list[Term]], root: str, facet: int) -> str:
+    """Add U = root - 1 and the primitive series P = U - P*U (that is,
+    1 - 1/root) to equations as U{facet} and P{facet}; returns P's name."""
+    u, name = f"U{facet}", f"P{facet}"
+    equations[u] = [t for t in equations[root] if t != Term(1, 0, 0)]
+    if len(equations[u]) != len(equations[root]) - 1:
+        raise ValueError(f"{root} needs the constant term 1")
+    equations[name] = [Term(1, 0, 0, (u,)), Term(-1, 0, 0, (name, u))]
+    return name
+
+
+def _assembled(system: EquationSystem) -> tuple[EquationSystem, str]:
+    """system with F among its unknowns, and F's name.
 
     A star system's F = 1/(1 - sum of P_i) becomes F = 1 + sum of F*P_i.  A
-    facet without a P unknown (two generators) gets P_i = 1 - 1/L0_i as
-    P_i = U_i - P_i*U_i with U_i = L0_i - 1, as the bigger star systems do.
+    facet without a P unknown (two generators) gets U_i and P_i as the
+    bigger star systems do.
     """
     if system.main:
-        return system, {}, system.main
+        return system, system.main
     unknowns, equations = list(system.unknowns), dict(system.equations)
-    primitive = {}
+    primitive = []
     for facet, root in system.facet_roots.items():
         name = system.facet_primitives.get(facet)
         if name is None:
-            u, name = f"U{facet}", f"P{facet}"
-            equations[u] = [t for t in equations[root] if t != Term(1, 0, 0)]
-            if len(equations[u]) != len(equations[root]) - 1:
-                raise ValueError(f"{root} needs the constant term 1")
-            equations[name] = [Term(1, 0, 0, (u,)), Term(-1, 0, 0, (name, u))]
-            unknowns += [u, name]
-        primitive[facet] = name
-    equations["F"] = [Term(1, 0, 0)] + [Term(1, 0, 0, ("F", P)) for P in primitive.values()]
-    return EquationSystem(unknowns + ["F"], equations), primitive, "F"
+            name = _add_primitive(equations, root, facet)
+            unknowns += [f"U{facet}", name]
+        primitive.append(name)
+    equations["F"] = [Term(1, 0, 0)] + [Term(1, 0, 0, ("F", P)) for P in primitive]
+    return EquationSystem(unknowns + ["F"], equations), "F"
 
 
 def solve_series(system: EquationSystem, order: int) -> SeriesSolution:
@@ -196,13 +196,12 @@ def solve_series(system: EquationSystem, order: int) -> SeriesSolution:
 
     Equivalent to iterating the fixed point Y <- Phi(z, Y, q) from Y = 0 until
     stable; the lane engine (fastseries.system_rows) computes each
-    coefficient once, evaluating the unknowns in system order.
+    coefficient once, evaluating the unknowns in system order, and lifts the
+    unknowns of system and F only.
     """
-    full, names, f_name = _assembled(system)
-    rows = system_rows(full, order)
-    series = {u: rows[u] for u in system.unknowns}
-    primitive = {facet: rows[name] for facet, name in names.items()}
-    return SeriesSolution(system, order, series, primitive, rows[f_name])
+    full, f_name = _assembled(system)
+    rows = system_rows(full, order, list(dict.fromkeys([*system.unknowns, f_name])))
+    return SeriesSolution(system, order, {u: rows[u] for u in system.unknowns}, rows[f_name])
 
 
 def system_for(spec: GroupSpec) -> EquationSystem:
@@ -222,6 +221,26 @@ def solve_group(spec: GroupSpec, order: int) -> SeriesSolution:
     return solve_series(system_for(spec), order)
 
 
+def group_series(spec: GroupSpec, order: int, unknown: str | None) -> QZSeries:
+    """Exact rows up to z^order of one series of a presentation: F, or the
+    system unknown named by unknown ("L0:1" names L0_1).  Only that series
+    is lifted, and B3-standard's F comes from its cubic instead.
+
+    Raises ValueError, before any solving, if unknown is not an unknown of
+    the presentation's system.
+    """
+    if spec.variant == BRAID_STANDARD and not unknown:
+        return high_order_rows(braid_equation(), order)
+    system = system_for(spec)
+    if not unknown:
+        system, name = _assembled(system)
+    else:
+        name = unknown.replace(":", "_")
+        if name not in system.unknowns:
+            raise ValueError(f"unknown series {unknown!r}; have {sorted(system.unknowns)}")
+    return system_rows(system, order, [name])[name]
+
+
 def forget_winding(system: EquationSystem) -> EquationSystem:
     """Zero out every winding mark, counting walks by length alone.
 
@@ -235,7 +254,6 @@ def forget_winding(system: EquationSystem) -> EquationSystem:
     return EquationSystem(
         list(system.unknowns),
         equations,
-        system.spec,
         dict(system.facet_roots),
         dict(system.facet_primitives),
         system.main,

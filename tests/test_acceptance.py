@@ -29,7 +29,7 @@ from cogrowth.asymptotics import (
     minimal_poly_check,
     variance_sequence,
 )
-from cogrowth.cli import AXA_GROWTH_POLY, TREFOIL_GROWTH_POLY
+from cogrowth.cli import AXA_GROWTH_POLY, TREFOIL_GROWTH_POLY, TREFOIL_VARIANCE_POLY
 from cogrowth.fastseries import high_order_rows
 from cogrowth.groups import parse_group_spec
 from cogrowth.oracle import count_closed_walks
@@ -46,8 +46,6 @@ from cogrowth.systems import (
 pytestmark = pytest.mark.acceptance
 
 STAR_SPECS = ("G(2,2)", "G(2,3)", "G(3,3)", "G(3,4)", "G(2,2,2)")
-
-TREFOIL_VARIANCE_POLY = [-1, -60, 512, -904, 452]
 
 
 def star(name: str):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cogrowth import asymptotics
 from cogrowth.algebraic import axa_q1_equation, braid_equation, trefoil_equation
 from cogrowth.asymptotics import (
     algebraic_critical_point,
@@ -17,7 +18,12 @@ from cogrowth.asymptotics import (
     minimal_poly_check,
     variance_sequence,
 )
-from cogrowth.cli import AXA_GROWTH_POLY, BRAID_GROWTH_POLY, TREFOIL_GROWTH_POLY
+from cogrowth.cli import (
+    AXA_GROWTH_POLY,
+    BRAID_GROWTH_POLY,
+    TREFOIL_GROWTH_POLY,
+    TREFOIL_VARIANCE_POLY,
+)
 from cogrowth.groups import parse_group_spec
 from cogrowth.qseries import QPolynomial
 from cogrowth.systems import (
@@ -28,8 +34,6 @@ from cogrowth.systems import (
     ktree_closed_form,
     solve_series,
 )
-
-SIGMA_QUARTIC = [-1, -60, 512, -904, 452]
 
 
 def star(spec: str) -> EquationSystem:
@@ -78,7 +82,7 @@ class TestMoments:
         law = growth_and_moments(star("G(2,3)"))
         assert abs(law.lam) < 1e-8
         assert abs(law.sigma2 - 0.1801879352) < 1e-6
-        root = min(r for r in minimal_poly_check(0.18, SIGMA_QUARTIC).real_roots if r > 0)
+        root = min(r for r in minimal_poly_check(0.18, TREFOIL_VARIANCE_POLY).real_roots if r > 0)
         assert abs(law.sigma2 - root) < 1e-7
 
     def test_braid_moments(self):
@@ -99,6 +103,19 @@ class TestMoments:
             system = star("G(" + ",".join("2" * k) + ")")
             mu = growth_and_moments(system).mu
             assert abs(mu - 4 * math.sqrt(k - 1)) < 1e-10
+
+    def test_each_q_solved_once(self, monkeypatch):
+        # the stencils at h and h/2 share q = 1 +- h: 7 distinct points, not 9
+        calls = []
+        find = asymptotics.find_critical_point
+
+        def counted(system, q):
+            calls.append(q)
+            return find(system, q)
+
+        monkeypatch.setattr(asymptotics, "find_critical_point", counted)
+        growth_and_moments(star("G(2,2)"))
+        assert len(calls) == len(set(calls)) == 7
 
     def test_axa_growth_both_routes(self):
         mu_sys = 1.0 / find_critical_point(build_axa_system(), 1.0).z_c

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cogrowth import systems
 from cogrowth.cli import main
 from cogrowth.groups import parse_group_spec
 from cogrowth.systems import build_star_system, solve_series
@@ -104,6 +105,16 @@ def test_usage_errors_exit_two():
     assert err.value.code == 2
 
 
+def test_bad_unknown_rejected_before_solving(capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the unknown")
+
+    monkeypatch.setattr(systems, "system_rows", no_solve)
+    code = main(["series", "--group", "G(2,3)", "--order", "4", "--unknown", "X9"])
+    assert code == 1
+    assert "unknown series 'X9'" in capsys.readouterr().err
+
+
 def test_computation_error_exit_one(capsys):
     code = main(["series", "--group", "B3-standard", "--order", "4",
                  "--unknown", "L0:1"])
@@ -120,8 +131,22 @@ def test_negative_order_exit_two(capsys):
 
 def test_asymptotics_has_no_csv():
     with pytest.raises(SystemExit) as err:
-        main(["asymptotics", "--group", "G(2,2)", "--csv", "f"])
+        main(["asymptotics", "--group", "G(2,2)", "--order", "4", "--csv", "f"])
     assert err.value.code == 2
+
+
+def test_asymptotics_needs_order():
+    with pytest.raises(SystemExit) as err:
+        main(["asymptotics", "--group", "G(2,2)"])
+    assert err.value.code == 2
+
+
+def test_asymptotics_alpha_at_order_400(tmp_path):
+    # parity-locked: only even orders enter the fit, so N = 400 gives it 100 terms
+    out = tmp_path / "r.json"
+    assert main(["asymptotics", "--group", "B3-standard", "--order", "400",
+                 "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["alpha"] + 2) <= 0.25
 
 
 def test_asymptotics_report(tmp_path):

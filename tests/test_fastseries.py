@@ -13,7 +13,7 @@ from cogrowth.algebraic import (
 from cogrowth.fastseries import high_order_rows, series_at_q1
 from cogrowth.groups import parse_group_spec
 from cogrowth.qseries import QPolynomial
-from cogrowth.systems import build_axa_system, build_star_system, solve_series
+from cogrowth.systems import build_axa_system, build_star_system, group_series, solve_series
 
 
 def test_trefoil_rows_match_star_system():
@@ -100,28 +100,43 @@ def test_f0_not_a_root_rejected():
         high_order_rows(eq, 10)
 
 
+def _narrow_windows(monkeypatch, low, high):
+    bounds = fastseries._bounds
+
+    def narrow(system, order, names):
+        windows, mass = bounds(system, order, names)
+        return {k: (lo + low, hi - high) for k, (lo, hi) in windows.items()}, mass
+
+    monkeypatch.setattr(fastseries, "_bounds", narrow)
+
+
 def test_narrow_window_leaks(monkeypatch):
-    lift = fastseries._lift
-
-    def narrow(order, bound, windows, residues, mirrored=False):
-        windows = {k: (lo + 1, hi - 1) for k, (lo, hi) in windows.items()}
-        return lift(order, bound, windows, residues, mirrored)
-
-    monkeypatch.setattr(fastseries, "_lift", narrow)
+    _narrow_windows(monkeypatch, 1, 1)
     with pytest.raises(ArithmeticError, match="leaked"):
         high_order_rows(trefoil_equation(), 40)
 
 
 def test_system_narrow_window_leaks(monkeypatch):
-    lift = fastseries._lift
-
-    def narrow(order, bound, windows, residues):
-        windows = {k: (lo, hi - 1) for k, (lo, hi) in windows.items()}
-        return lift(order, bound, windows, residues)
-
-    monkeypatch.setattr(fastseries, "_lift", narrow)
+    _narrow_windows(monkeypatch, 0, 1)
     with pytest.raises(ArithmeticError, match="leaked"):
         solve_series(build_star_system(parse_group_spec("G(2,3)")), 20)
+
+
+def test_only_read_series_are_transformed(monkeypatch):
+    # G(2,3) has 5 unknowns; its U_i and P_i are solved on the lanes but not lifted
+    transformed = []
+    intt_rows = fastseries._intt_rows
+
+    def counted(mat, p, w):
+        transformed.append(len(mat))
+        return intt_rows(mat, p, w)
+
+    monkeypatch.setattr(fastseries, "_intt_rows", counted)
+    solve_series(build_star_system(parse_group_spec("G(2,3)")), 20)
+    assert transformed and set(transformed) == {6 * 21}
+    transformed.clear()
+    group_series(parse_group_spec("G(2,3)"), 20, None)
+    assert transformed and set(transformed) == {21}
 
 
 def _too_few_crt_primes(monkeypatch):

@@ -89,15 +89,20 @@ class TestSolveStar:
         assert conj(sol.F) == sol.F
 
     def test_residuals_and_primitive_identity(self):
-        from cogrowth.qseries import series_mul, series_sub
+        from cogrowth.qseries import series_add, series_mul, series_reciprocal, series_sub
 
-        for text in ["G(3,4)", "G(2,2,2)"]:
-            sol = solve_group(parse_group_spec(text), 20)
-            assert sol.residual_ok(), text
-            for facet, P in sol.primitive.items():
-                L0 = sol.series[l_name(0, facet)]
-                one_minus = series_sub(QZSeries.one(20), P)
-                assert series_mul(L0, one_minus) == QZSeries.one(20), (text, facet)
+        one = QZSeries.one(20)
+        sol = solve_group(parse_group_spec("G(2,2,2)"), 20)
+        assert sol.residual_ok()
+        for facet in (1, 2, 3):
+            # L0_i (1 - P_i) = 1
+            L0, P = sol.series[l_name(0, facet)], sol.series[f"P{facet}"]
+            assert series_mul(L0, series_sub(one, P)) == one, facet
+        # with two facets, F = 1/(1 - P_1 - P_2) and P_i = 1 - 1/L0_i
+        sol = solve_group(parse_group_spec("G(3,4)"), 20)
+        assert sol.residual_ok()
+        inverses = [series_reciprocal(sol.series[l_name(0, facet)]) for facet in (1, 2)]
+        assert series_mul(sol.F, series_sub(series_add(*inverses), one)) == one
 
 
 class TestSolveAxa:
