@@ -10,12 +10,13 @@ more prime.  Products of two residues stay below 2^52, so a sum of fewer
 than 2^11 of them (one power-series convolution at order < 2^11) fits an
 int64 unreduced.  The same kernel run on (interval, log2 mass) triples
 instead of residues gives each series a provable q-exponent window per order
-and a bound on its coefficients; L is the smallest power of two above the
-widest window that is lifted, and the CRT bound is the largest mass lifted.
+and a bound on its coefficients; L is the smallest 2^a * 3^b above the
+widest window that is lifted, so the inverse transform is a mixed-radix (2, 3)
+one, and the CRT bound is the largest mass lifted.
 system_rows solves an EquationSystem on all lanes, since one-sided series are
 not symmetric.  high_order_rows solves one polynomial equation P(F) = 0 as the
 system F = 1 + z*H of its root with f0 = 1; its rows are q -> 1/q symmetric,
-so only lanes 0..L/2 are solved and the rest mirrored, and its coefficients
+so only lanes 0..L//2 are solved and the rest mirrored, and its coefficients
 are bounded by the 4^n words of length n.
 """
 from __future__ import annotations
@@ -161,10 +162,20 @@ def _ntt_primes(bound: int, lanes: int) -> list[int]:
     return out
 
 
+def _lane_count(width: int) -> int:
+    """The smallest 2^a * 3^b above width: every window leaves a slot outside."""
+    threes = [1]
+    while threes[-1] <= width:
+        threes.append(3 * threes[-1])
+    return min(t << (width // t).bit_length() for t in threes)
+
+
 def _root_of_unity(p: int, lanes: int) -> int:
+    """A primitive lanes-th root of unity mod p, for p = 1 (mod lanes) and
+    lanes = 2^a * 3^b: w^(lanes/r) != 1 for each prime factor r."""
     for a in range(2, 1000):
         w = pow(a, (p - 1) // lanes, p)
-        if pow(w, lanes // 2, p) == p - 1:
+        if all(pow(w, lanes // r, p) != 1 for r in (2, 3) if lanes % r == 0):
             return w
     raise ArithmeticError(f"no primitive {lanes}-th root mod {p}")
 
@@ -177,34 +188,33 @@ def _powers(p: int, w: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _bit_reverse(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
 def _intt_rows(mat: np.ndarray, p: int, w: int) -> np.ndarray:
-    """Inverse transform along axis 1; mat holds values at powers of w's inverse."""
+    """Inverse transform along axis 1; mat holds values at q = w^t, t < L = 2^a * 3^b.
+
+    Mixed-radix decimation in time.  With L = r_1 * ... * r_s and lane
+    t = t_1 + r_1 * t_2 + r_1 r_2 * t_3 + ..., the lanes are put in
+    digit-reversed order (t_1 most significant); then each radix-r step, from
+    r_s up to r_1, merges r interleaved transforms of length m into one of
+    length r*m: coefficient k1 + m*k2 is the sum over t1 < r of
+    root^(t1 * (k1 + m*k2)) times coefficient k1 of transform t1, with root
+    of order r*m.  A step sums r <= 3 products below 2^52 in an int64.
+    """
     rows, n = mat.shape
-    out = mat[:, _bit_reverse(n)].copy()
-    root = pow(w, p - 2, p)  # evaluate at inverse powers
-    length = 2
-    while length <= n:
-        wlen = pow(root, n // length, p)
-        half = length // 2
-        wp = _powers(p, wlen, half)
-        view = out.reshape(rows, n // length, length)
-        a = view[:, :, :half].copy()  # the in-place write below must not alias it
-        b = view[:, :, half:] * wp % p
-        view[:, :, :half] = (a + b) % p
-        view[:, :, half:] = (a - b) % p
-        length *= 2
-    inv_n = pow(n, p - 2, p)
-    return out * inv_n % p
+    radices, rest = [], n  # r_s, ..., r_1
+    for r in (2, 3):
+        while rest % r == 0:
+            radices.append(r)
+            rest //= r
+    s = len(radices)  # another prime factor of n makes this reshape raise
+    x = mat.reshape(rows, *radices).transpose(0, *range(s, 0, -1)).reshape(rows, n)
+    powers = _powers(p, pow(w, p - 2, p), n)  # evaluate at inverse powers
+    m = 1
+    for r in radices:
+        k = np.arange(r * m).reshape(r, m)  # k1 + m*k2 at [k2, k1]
+        y = x.reshape(rows, -1, r, 1, m)
+        x = sum(y[:, :, t] * powers[t * k % (r * m) * (n // (r * m))] for t in range(r)) % p
+        m *= r
+    return x.reshape(rows, n) * pow(n, p - 2, p) % p
 
 
 def _lift(
@@ -213,8 +223,8 @@ def _lift(
     """Exact rows 0..order of the named unknowns of system, from their lane values.
 
     The bounds pass gives each named series' q-window per row; L is the
-    smallest power of two above the widest.  Every prime block runs
-    _run_system on lanes 0..L-1, or on lanes 0..L/2 when mirrored (q -> 1/q
+    smallest 2^a * 3^b above the widest (_lane_count).  Every prime block runs
+    _run_system on lanes 0..L-1, or on lanes 0..L//2 when mirrored (q -> 1/q
     symmetric rows) with the rest mirrored; only the named series are
     transformed back, and mirrored rows keep and lift exponents 0..hi only.
     Unknowns that are not named may wrap around the lanes: evaluation at a
@@ -226,7 +236,7 @@ def _lift(
     windows, mass = _bounds(system, order, names)
     if bound is None:
         bound = 1 << (ceil(mass) + 1)  # > 2 * |coefficient|
-    lanes = 1 << int(max((hi - lo).max() + 1 for lo, hi in windows.values())).bit_length()
+    lanes = _lane_count(int(max((hi - lo).max() + 1 for lo, hi in windows.values())))
     *primes, check = _ntt_primes(bound, lanes)
     solved = lanes // 2 + 1 if mirrored else lanes
     mirror = np.concatenate([np.arange(solved), np.arange(lanes - solved, 0, -1)])
@@ -416,7 +426,7 @@ def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
     """Exact coefficient rows of eq's counting-series root up to z^order.
 
     The root with f0 = 1 is solved as the system F = 1 + z*H on lanes
-    0..L/2, mirrored, and only F is lifted; its coefficients are bounded by
+    0..L//2, mirrored, and only F is lifted; its coefficients are bounded by
     the number of 4-letter words.  Raises ValueError if eq is not q -> 1/q
     symmetric, its dP/dF at (z, F) = (0, 1) is not a nonzero integer or
     f0 = 1 is not a root, and ArithmeticError from the lift's checks.

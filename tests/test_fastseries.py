@@ -1,5 +1,6 @@
 """Cross-validation of the lane/CRT engine against the exact solvers."""
 
+import numpy as np
 import pytest
 
 from cogrowth import fastseries
@@ -17,7 +18,7 @@ from cogrowth.systems import build_axa_system, build_star_system, group_series, 
 
 
 def test_trefoil_rows_match_star_system():
-    # at order 130 both paths need windows wider than 128 slots: 256 lanes
+    # at order 130 both paths need windows wider than 128 slots: 144 lanes
     sol = solve_series(build_star_system(parse_group_spec("G(2,3)")), 130)
     fast = high_order_rows(trefoil_equation(), 130)
     assert fast.coeffs == sol.F.coeffs
@@ -57,8 +58,10 @@ def test_braid_q1_masses():
 
 
 def test_rows_agree_across_lane_sizes():
-    # trefoil 254 and braid 190 are the last orders on 256 and 128 lanes
-    for eq, small, large in ((trefoil_equation(), 254, 256), (braid_equation(), 190, 192)):
+    # trefoil 254 and braid 190 take 256 and 128 lanes, trefoil 256 and braid 192
+    # take 288 and 144, and trefoil 230 takes 243 (radix 3 only)
+    trefoil, braid = trefoil_equation(), braid_equation()
+    for eq, small, large in ((trefoil, 254, 256), (braid, 190, 192), (trefoil, 230, 260)):
         assert high_order_rows(eq, small).coeffs == high_order_rows(eq, large).coeffs[: small + 1]
 
 
@@ -112,14 +115,43 @@ def _narrow_windows(monkeypatch, low, high):
 
 def test_narrow_window_leaks(monkeypatch):
     _narrow_windows(monkeypatch, 1, 1)
-    with pytest.raises(ArithmeticError, match="leaked"):
-        high_order_rows(trefoil_equation(), 40)
+    for order in (40, 230):  # order 230 takes 243 lanes: radix 3 only
+        with pytest.raises(ArithmeticError, match="leaked"):
+            high_order_rows(trefoil_equation(), order)
 
 
 def test_system_narrow_window_leaks(monkeypatch):
     _narrow_windows(monkeypatch, 0, 1)
     with pytest.raises(ArithmeticError, match="leaked"):
         solve_series(build_star_system(parse_group_spec("G(2,3)")), 20)
+
+
+@pytest.mark.parametrize("lanes", [2, 3, 4, 6, 9, 12, 27, 108, 243, 288])
+def test_intt_rows_is_inverse_dft(lanes):
+    p = fastseries._ntt_primes(1, lanes)[0]
+    w = fastseries._root_of_unity(p, lanes)
+    mat = np.random.default_rng(lanes).integers(0, p, (3, lanes))
+    inverse, scale = pow(w, -1, p), pow(lanes, -1, p)
+    direct = [
+        [sum(int(v) * pow(inverse, t * k, p) for t, v in enumerate(row)) * scale % p
+         for k in range(lanes)]
+        for row in mat
+    ]
+    assert fastseries._intt_rows(mat, p, w).tolist() == direct
+
+
+@pytest.mark.parametrize("lanes", [2, 3, 4, 6, 9, 12, 27, 108, 243, 288, 729, 1024])
+def test_root_of_unity_has_order_lanes(lanes):
+    for p in fastseries._ntt_primes(1 << 60, lanes):
+        w = fastseries._root_of_unity(p, lanes)
+        assert pow(w, lanes, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, lanes) if lanes % d == 0)
+
+
+def test_lane_count_is_smallest_3_smooth_above_width():
+    smooth = sorted(2**a * 3**b for a in range(13) for b in range(8))
+    for width in range(1, 2101):
+        assert fastseries._lane_count(width) == next(s for s in smooth if s > width)
 
 
 def test_only_read_series_are_transformed(monkeypatch):
