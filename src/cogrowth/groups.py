@@ -201,6 +201,40 @@ def one_sided_allowed(spec: GroupSpec, nf: NormalForm, facet: int) -> bool:
     return not nf.suffix or nf.suffix[0][0] == facet
 
 
+def delta_distance(spec: GroupSpec, nf: NormalForm) -> int:
+    """A lower bound on the number of letters any word needs to take nf into <Delta>.
+
+    The bound d is 0 exactly on the forms with in_delta_subgroup(), and
+    d(nf) <= d(nf * g) + 1 for every letter g.  By induction on the length of
+    a word w with nf * w in <Delta>, d(nf) <= len(w).
+
+    StarPolygon: d = sum of min(e, p_i - e) over the suffix syllables (i, e).
+    A letter only touches the last syllable: it moves that exponent by one,
+    which moves min(e, p_i - e) by at most one, or it appends or removes a
+    syllable with exponent 1 or p_i - 1, whose term is 1.  So d moves by at
+    most one per letter, and by exactly one when every p_i is even.  Walking
+    the last syllable's exponent to 0 or p_i the short way removes it in
+    min(e, p_i - e) letters, so d is the exact distance.
+
+    BraidStandard: d = ceil(len(word) / 2).  A positive letter lengthens the
+    word by 1, or completes aba/bab and shortens it by 2.  A negative letter
+    cancels the last letter (-1), or swaps the word and appends the two
+    letters of Delta g^{-1} (+2); the swapped word ends in the first of them
+    and neither append completes aba/bab.  The length drops by at most 2,
+    so d drops by at most 1.
+
+    BraidAXA: d = ceil(c / 2), where c is the StarPolygon(2,3) distance of
+    the carrier suffix.  An axa letter is one or two carrier letters, so c
+    drops by at most 2 and d by at most 1.  Delta = x^3 is the carrier's
+    Delta, so d = 0 exactly on <Delta>.
+    """
+    if spec.variant == BRAID_STANDARD:
+        return (len(nf.word) + 1) // 2
+    if spec.variant == STAR_POLYGON:
+        return sum(min(e, spec.periods[i - 1] - e) for i, e in nf.suffix)
+    return (delta_distance(_AXA_CARRIER, nf) + 1) // 2
+
+
 def alphabet(spec: GroupSpec) -> list[SignedGenerator]:
     """S plus S^{-1}, in a fixed deterministic order."""
     letters = []

@@ -3,7 +3,11 @@
 Walks of length n over the doubled alphabet S union S^{-1} are binned by the
 winding number m of their endpoint (the Delta-exponent of its normal form).
 Rather than enumerating (2k)^n words, a layer-by-layer dynamic program keeps
-exact counts per normal-form state, which reaches length ~14 comfortably.
+exact counts per normal-form state.  A state reached after n letters is
+dropped when groups.delta_distance says it needs more than max_len - n
+letters to get back into <Delta>: it adds to no count at any length up to
+max_len, so the tables stay exact.  The state cap counts the distinct states
+kept over all layers.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from .groups import (
     STAR_POLYGON,
     alphabet,
     apply_generator,
+    delta_distance,
     one_sided_allowed,
 )
 
@@ -66,7 +71,7 @@ def _walk_table(
         for nf, c in layer.items():
             for g in letters:
                 nf2, _ = apply_generator(spec, nf, g)
-                if not keep(nf2):
+                if not keep(nf2) or delta_distance(spec, nf2) > max_len - n:
                     continue
                 nxt[nf2] = nxt.get(nf2, 0) + c
         seen.update(nxt)

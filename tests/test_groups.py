@@ -11,6 +11,7 @@ from cogrowth.groups import (
     SignedGenerator,
     alphabet,
     apply_generator,
+    delta_distance,
     evaluate_word,
     normal_form_to_json,
     one_sided_allowed,
@@ -238,3 +239,44 @@ class TestProperties:
         for g in word:
             nf, d = apply_generator(spec, nf, g)
             assert lo <= d <= hi
+
+
+def ball(spec, radius):
+    """Every normal form within radius letters of the identity, with the
+    number of letters from <Delta> to it (breadth-first over the suffixes)."""
+    forms, depth = {IDENTITY}, {IDENTITY.suffix: 0}
+    frontier = [IDENTITY]
+    for r in range(1, radius + 1):
+        nxt = []
+        for nf in frontier:
+            for g in alphabet(spec):
+                nf2, _ = apply_generator(spec, nf, g)
+                depth.setdefault(nf2.suffix, r)
+                if nf2 not in forms:
+                    forms.add(nf2)
+                    nxt.append(nf2)
+        frontier = nxt
+    return forms, depth
+
+
+class TestDeltaDistance:
+    @pytest.mark.parametrize(
+        "text", ["G(2,3)", "G(3,4)", "G(2,2,2)", "B3-standard", "B3-axa"]
+    )
+    def test_bound_within_eight_letters(self, text):
+        spec = parse_group_spec(text)
+        forms, depth = ball(spec, 8)
+        for nf in forms:
+            d = delta_distance(spec, nf)
+            assert (d == 0) == nf.in_delta_subgroup(), nf
+            if spec.variant == STAR_POLYGON:
+                # Delta is central, so <Delta> is reached in exactly d letters
+                assert d == depth[nf.suffix], nf
+            for g in alphabet(spec):
+                step = delta_distance(spec, apply_generator(spec, nf, g)[0]) - d
+                # the lower-bound property: a letter lowers d by at most one
+                assert step >= -1, (nf, g)
+                if spec.variant == STAR_POLYGON:
+                    assert abs(step) <= 1, (nf, g)
+                    if all(p % 2 == 0 for p in spec.periods):
+                        assert abs(step) == 1, (nf, g)

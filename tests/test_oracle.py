@@ -1,11 +1,35 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
-from cogrowth.groups import GroupSpec, STAR_POLYGON, parse_group_spec
+from cogrowth.groups import (
+    GroupSpec,
+    STAR_POLYGON,
+    alphabet,
+    evaluate_word,
+    one_sided_allowed,
+    parse_group_spec,
+)
 from cogrowth.oracle import StateCapExceeded, count_closed_walks, count_one_sided_walks
 
 G22 = GroupSpec(STAR_POLYGON, (2, 2))
 G23 = GroupSpec(STAR_POLYGON, (2, 3))
 G34 = GroupSpec(STAR_POLYGON, (3, 4))
+
+
+def enumerate_words(spec, length, allowed=lambda nf: True):
+    """(n, m) -> number of words of length n <= length equal to Delta^m whose
+    every nonempty proper prefix is allowed, evaluating each word separately
+    (an endpoint in <Delta> is always allowed)."""
+    counts = Counter()
+    for n in range(length + 1):
+        for word in product(alphabet(spec), repeat=n):
+            if all(allowed(evaluate_word(spec, word[:j])) for j in range(1, n)):
+                nf = evaluate_word(spec, word)
+                if nf.in_delta_subgroup():
+                    counts[(n, nf.delta_exp)] += 1
+    return dict(counts)
 
 
 class TestClosedWalks:
@@ -63,6 +87,15 @@ class TestClosedWalks:
         with pytest.raises(StateCapExceeded):
             count_closed_walks(G34, 8, state_cap=100)
 
+    @pytest.mark.parametrize(
+        "text, length",
+        [("G(2,2)", 7), ("G(3,4)", 7), ("B3-standard", 7), ("B3-axa", 7), ("G(2,2,2)", 6)],
+    )
+    def test_matches_word_enumeration(self, text, length):
+        spec = parse_group_spec(text)
+        table = count_closed_walks(spec, length)
+        assert {k: f for k, f in table.counts.items() if f} == enumerate_words(spec, length)
+
 
 class TestOneSidedWalks:
     def test_empty_walk(self):
@@ -85,3 +118,9 @@ class TestOneSidedWalks:
         sided = count_one_sided_walks(G23, 2, 8)
         for (n, m), f in sided.counts.items():
             assert f <= closed.at(n, m)
+
+    @pytest.mark.parametrize("facet", [1, 2])
+    def test_matches_word_enumeration(self, facet):
+        table = count_one_sided_walks(G34, facet, 7)
+        want = enumerate_words(G34, 7, lambda nf: one_sided_allowed(G34, nf, facet))
+        assert {k: f for k, f in table.counts.items() if f} == want

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogrowth.algebraic import braid_equation
+from cogrowth.fastseries import high_order_rows
 from cogrowth.groups import GroupSpec, STAR_POLYGON, parse_group_spec
 from cogrowth.oracle import count_closed_walks, count_one_sided_walks
 from cogrowth.qseries import QPolynomial, QZSeries, q_constant_term
@@ -198,11 +200,19 @@ class TestConeChecks:
 
 class TestStarFamily:
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(2, 5), min_size=2, max_size=3))
+    @given(st.lists(st.integers(2, 7), min_size=2, max_size=4))
     def test_rows_match_oracle_with_invariants(self, periods):
         spec = GroupSpec(STAR_POLYGON, tuple(periods))
-        length = 8 if len(periods) == 2 else 6
+        length = {2: 12, 3: 10, 4: 8}[len(periods)]
         F = solve_group(spec, length).F
         assert F == QZSeries.from_counts(count_closed_walks(spec, length).counts, length)
         assert all(row.is_symmetric() for row in F.coeffs)
         assert cone_positivity_check(F, spec).ok
+
+
+def test_braid_rows_match_oracle_at_length_14():
+    standard = count_closed_walks(parse_group_spec("B3-standard"), 14)
+    assert high_order_rows(braid_equation(), 14) == QZSeries.from_counts(standard.counts, 14)
+    axa = parse_group_spec("B3-axa")
+    want = QZSeries.from_counts(count_closed_walks(axa, 14).counts, 14)
+    assert solve_group(axa, 14).F == want
