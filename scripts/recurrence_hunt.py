@@ -4,8 +4,10 @@
 For each recurrence order r, reports the smallest coefficient degree d at
 which the (r, d) linear system acquires a nullvector modulo a 26-bit prime
 (full modular rank proves no rational recurrence of that shape exists), or
-that every degree up to --max-degree has full rank.  The smallest admissible
-shape is then reconstructed exactly and verified on every available term.
+that every degree up to --max-degree has full rank.  One elimination per
+order decides every degree, over the rows of the largest degree the terms
+can decide.  The smallest admissible shape is then reconstructed exactly and
+verified on every available term.
 
 G(2,3) winding-zero frontier starts at (14, 31)/(15, 23)/(16, 19): nothing
 at order 13 or below, with full rank checked through degree 43.  The braid
@@ -20,9 +22,7 @@ import argparse
 import time
 
 from cogrowth.algebraic import (
-    _FILTER_PRIMES,
-    _matrix_mod,
-    _nullvector_numpy,
+    _prefix_ranks,
     braid_equation,
     guess_recurrence,
     trefoil_equation,
@@ -31,32 +31,18 @@ from cogrowth.algebraic import (
 from cogrowth.fastseries import high_order_rows
 
 
-def has_nullvector(seq, r, d):
-    cells = (r + 1) * (d + 1)
-    rows = min(len(seq) - r, cells + 32)
-    if rows < cells + 8:
-        return None  # not enough data to decide
-    vec, _ = _nullvector_numpy(_matrix_mod(seq, r, d, rows, _FILTER_PRIMES[0]), _FILTER_PRIMES[0])
-    return vec is not None
-
-
 def frontier(seq, max_order, max_degree):
     best = None
     for r in range(1, max_order + 1):
-        hit = None
-        for d in range(max_degree + 1):
-            ok = has_nullvector(seq, r, d)
-            if ok is None:
-                hit = "data cap"
-                break
-            if ok:
-                hit = d
-                break
-        if isinstance(hit, int):
+        # the largest degree whose fitting matrix has 8 spare rows
+        top = min(max_degree, (len(seq) - r - 8) // (r + 1) - 1)
+        ranks = _prefix_ranks(seq, r, top) if top >= 0 else []
+        hit = next((d for d, rank in enumerate(ranks) if rank < (r + 1) * (d + 1)), None)
+        if hit is not None:
             print(f"  order {r:2d}: first admissible degree {hit}")
             if best is None or (r + 1) * (hit + 1) < best[2]:
                 best = (r, hit, (r + 1) * (hit + 1))
-        elif hit == "data cap":
+        elif top < max_degree:
             print(f"  order {r:2d}: undecided beyond available terms")
         else:
             print(f"  order {r:2d}: full rank through degree {max_degree}")

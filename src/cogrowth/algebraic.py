@@ -5,13 +5,16 @@ group; the three used here are stored with exact integer Laurent coefficients.
 Such an equation determines its counting-series root order by order once the
 constant term is fixed, so no elimination machinery is needed at runtime.
 Recurrence guessing runs nullspace searches on shifted, index-weighted copies
-of a sequence: candidates are found modulo primes below 2^26 with numpy
-elimination, lifted by CRT plus rational reconstruction over as many primes as
-the coefficients need (up to the Hadamard bound of the fitting matrix), and
-only believed after exact integer verification on the whole attested prefix.
+of a sequence: one elimination per order rules out every degree whose fitting
+matrix has full rank modulo a prime, candidates are found modulo primes
+below 2^26 with numpy elimination, lifted by CRT plus rational reconstruction
+over as many primes as the coefficients need (up to the Hadamard bound of the
+fitting matrix), and only believed after exact integer verification on the
+whole attested prefix.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, gcd, isqrt, log2
 
@@ -412,6 +415,24 @@ def _rational_reconstruct(u: int, m: int) -> tuple[int, int] | None:
     return p, q
 
 
+def _prefix_ranks(seq, order: int, degree: int) -> list[int]:
+    """Ranks modulo _FILTER_PRIMES[0] of the (order, d) fitting matrices, d <= degree.
+
+    One elimination of the (order, degree) fitting matrix with its columns
+    taken degree-major, (d, j), and its own rows: the first (order+1)(d+1)
+    columns are the (order, d) shape's, and every smaller degree's rows are a
+    prefix of these.  Gauss-Jordan picks pivots left to right, so the number
+    of pivots below a column index is the rank of the columns before it.
+    """
+    cols = (order + 1) * (degree + 1)
+    rows = min(len(seq) - order, cols + 32)
+    p = _FILTER_PRIMES[0]
+    M = _matrix_mod(seq, order, degree, rows, p)
+    M = M.reshape(rows, order + 1, degree + 1).transpose(0, 2, 1).reshape(rows, cols)
+    _, pivots = _nullvector_numpy(M, p)
+    return [bisect_left(pivots, (order + 1) * (d + 1)) for d in range(degree + 1)]
+
+
 def guess_recurrence(seq, max_order: int, max_degree: int) -> Recurrence | None:
     """Smallest-matrix recurrence with poly coefficients annihilating seq.
 
@@ -420,6 +441,24 @@ def guess_recurrence(seq, max_order: int, max_degree: int) -> Recurrence | None:
     capped window of rows; the survivor must then annihilate the entire
     sequence exactly, which also leaves every trailing term as held-out
     validation for free.
+
+    Before a shape is eliminated on its own it passes a per-order prefilter:
+    _prefix_ranks gives, from one elimination of a larger fitting matrix of
+    the same order, the rank modulo _FILTER_PRIMES[0] of every degree up to
+    that matrix's top degree, and a shape whose columns have full rank there
+    is skipped.  An order's profile is built when its first shape comes up
+    and rebuilt with twice as many degrees (up to max_degree and to what the
+    data can decide) when a shape outgrows it.  Skipping loses no relation.
+    A verified recurrence of shape (r, d) is an integer vector of content 1
+    that annihilates every row n < len(seq) - r of the (r, d) fitting
+    matrix, the profile's rows included, so modulo p it is a nonzero
+    nullvector of the profile's first (r+1)(d+1) columns, which therefore
+    cannot have full rank.  The profile has at least the shape's own rows,
+    and adding rows never lowers a rank, so it only drops shapes whose
+    modular nullvectors do not hold over the larger row set; every other
+    shape takes the per-shape path (both filter primes, _reconstruct and
+    verify_recurrence) exactly as without the prefilter, and the result is
+    the same.
     """
     seq = [int(s) for s in seq]
     need = (max_order + 1) * (max_degree + 1) + _GUESS_MARGIN
@@ -429,9 +468,17 @@ def guess_recurrence(seq, max_order: int, max_degree: int) -> Recurrence | None:
         ((r, d) for r in range(1, max_order + 1) for d in range(max_degree + 1)),
         key=lambda rd: ((rd[0] + 1) * (rd[1] + 1), rd[0], rd[1]),
     )
+    profiles: dict[int, list[int]] = {}  # order -> ranks by degree
     for r, d in shapes:
         cells = (r + 1) * (d + 1)
         if len(seq) - r < cells + 8:
+            continue
+        ranks = profiles.get(r, [])
+        if d >= len(ranks):
+            decidable = (len(seq) - r - 8) // (r + 1) - 1
+            top = min(max(2 * len(ranks) - 1, d), max_degree, decidable)
+            ranks = profiles[r] = _prefix_ranks(seq, r, top)
+        if ranks[d] == cells:
             continue
         rows = min(len(seq) - r, cells + 32)
         images = {}

@@ -136,6 +136,10 @@ def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
         g[n] = np.linalg.det(np.eye(n) - M)
         return g, M, phi_z
 
+    def det(vec):
+        M = _jacobian(system, vec[0], dict(zip(names, vec[1:])), q)[0]
+        return np.linalg.det(np.eye(n) - M)
+
     g, M, phi_z = residual(x)
     for _ in range(80):
         J = np.zeros((n + 1, n + 1))
@@ -145,9 +149,9 @@ def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
             h = 1e-7 * (1.0 + abs(x[col]))
             xp = x.copy()
             xp[col] += h
-            J[n, col] = (residual(xp)[0][n] - g[n]) / (2 * h)
+            J[n, col] = (det(xp) - g[n]) / (2 * h)
             xp[col] -= 2 * h
-            J[n, col] -= (residual(xp)[0][n] - g[n]) / (2 * h)
+            J[n, col] -= (det(xp) - g[n]) / (2 * h)
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError as exc:

@@ -43,6 +43,8 @@ from cogrowth.systems import (
     solve_series,
 )
 
+from test_algebraic import per_shape_guess
+
 pytestmark = pytest.mark.acceptance
 
 STAR_SPECS = ("G(2,2)", "G(2,3)", "G(3,3)", "G(3,4)", "G(2,2,2)")
@@ -299,6 +301,14 @@ def test_c09_recurrence_discovery(trefoil_high, braid_high):
     rec = guess_recurrence(seq[:600], max_order=15, max_degree=23)
     assert rec is not None and (rec.order, rec.degree) == (15, 23)
     assert verify_recurrence(rec, seq)  # 100 terms beyond the fitting window
+
+
+def test_braid_guess_matches_per_shape_loop(braid_high):
+    # the per-order prefilter returns what filtering each shape alone returns
+    bra_rows, _ = braid_high
+    even = [bra_rows.coeffs[n].coeff(0) for n in range(0, 721, 2)]
+    rec = guess_recurrence(even, max_order=9, max_degree=30)
+    assert rec is not None and rec == per_shape_guess(even, 9, 30)
 
 
 def test_c10_growth_rate_gap(trefoil_high, trefoil_law):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,11 @@ from cogrowth.algebraic import (
     ResidualReport,
     _FILTER_PRIMES,
     _crt,
+    _matrix_mod,
+    _nullvector_numpy,
+    _prefix_ranks,
     _rational_reconstruct,
+    _reconstruct,
     _zpoly,
     axa_q1_equation,
     braid_equation,
@@ -211,3 +217,117 @@ class TestModularHelpers:
 
     def test_reconstruction_failure(self):
         assert _rational_reconstruct(2, 4) is None
+
+
+def plain_rank(rows, p) -> int:
+    """Rank modulo p by textbook elimination on Python integers."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] % p:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankProfile:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pivots_below_k_are_prefix_rank(self, seed):
+        # columns are random, zero, or combinations of earlier columns
+        rng = random.Random(seed)
+        p = _FILTER_PRIMES[0]
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        cols = []
+        for _ in range(ncols):
+            kind = rng.random()
+            if kind < 0.15:
+                cols.append([0] * nrows)
+            elif kind < 0.55 and cols:
+                picks = rng.sample(range(len(cols)), rng.randint(1, min(3, len(cols))))
+                weights = [rng.randrange(1, p) for _ in picks]
+                cols.append([sum(w * cols[c][i] for w, c in zip(weights, picks)) % p
+                             for i in range(nrows)])
+            else:
+                cols.append([rng.randrange(p) for _ in range(nrows)])
+        matrix = [[cols[c][i] for c in range(ncols)] for i in range(nrows)]
+        _, pivots = _nullvector_numpy(matrix, p)
+        for k in range(ncols + 1):
+            prefix = [row[:k] for row in matrix]
+            assert sum(1 for c in pivots if c < k) == plain_rank(prefix, p)
+
+    def test_prefix_ranks_match_each_shape(self):
+        # one (3, 1) relation, times 1, n, ..., n^(d-1): nullity d at degree d
+        seq = [1, 2, 3]
+        while len(seq) < 90:
+            n = len(seq) - 3
+            seq.append((n + 1) * seq[-1] - 2 * seq[-2] + (3 * n - 1) * seq[-3])
+        ranks = _prefix_ranks(seq, 3, 3)
+        p = _FILTER_PRIMES[0]
+        rows = min(len(seq) - 3, 4 * 4 + 32)
+        for d, rank in enumerate(ranks):
+            assert rank == plain_rank(_matrix_mod(seq, 3, d, rows, p).tolist(), p)
+        assert ranks == [4, 7, 10, 13]
+
+
+def per_shape_guess(seq, max_order, max_degree):
+    """guess_recurrence without the per-order prefilter: each shape on its own."""
+    seq = [int(s) for s in seq]
+    shapes = sorted(
+        ((r, d) for r in range(1, max_order + 1) for d in range(max_degree + 1)),
+        key=lambda rd: ((rd[0] + 1) * (rd[1] + 1), rd[0], rd[1]),
+    )
+    for r, d in shapes:
+        cells = (r + 1) * (d + 1)
+        if len(seq) - r < cells + 8:
+            continue
+        rows = min(len(seq) - r, cells + 32)
+        images = {}
+        for p in _FILTER_PRIMES:
+            vec, pivots = _nullvector_numpy(_matrix_mod(seq, r, d, rows, p), p)
+            if vec is None:
+                break
+            images[p] = vec, pivots
+        else:
+            rec = _reconstruct(seq, r, d, rows, images)
+            if rec is not None and verify_recurrence(rec, seq):
+                return rec
+    return None
+
+
+@st.composite
+def p_recursive(draw):
+    """Terms of a(n+r) = sum_j p_j(n) a(n+j) with small integer polynomials p_j."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2))
+    polys = [draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+             for _ in range(r)]
+    seq = draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r))
+    while len(seq) < 100:
+        n = len(seq) - r
+        seq.append(sum(sum(c * n**e for e, c in enumerate(poly)) * seq[n + j]
+                       for j, poly in enumerate(polys)))
+    return seq
+
+
+class TestGuessMatchesPerShape:
+    @settings(max_examples=40, deadline=None)
+    @given(p_recursive(), st.integers(1, 3), st.integers(0, 3))
+    def test_planted_recurrences(self, seq, max_order, max_degree):
+        assert guess_recurrence(seq, max_order, max_degree) == per_shape_guess(
+            seq, max_order, max_degree)
+
+    @pytest.mark.parametrize("seq, max_order, max_degree", [
+        (FIB, 3, 1), (FIB, 6, 12), (FIB[:80], 1, 4),
+        (CATALAN, 3, 2), (CATALAN, 5, 14), (CATALAN[:70], 1, 5),
+        ([pow(3, n * n, 10**9 + 7) for n in range(160)], 5, 10),
+    ])
+    def test_known_sequences(self, seq, max_order, max_degree):
+        assert guess_recurrence(seq, max_order, max_degree) == per_shape_guess(
+            seq, max_order, max_degree)
