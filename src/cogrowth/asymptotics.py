@@ -1,16 +1,19 @@
 """Growth rates, winding moments, and profile diagnostics.
 
 Everything here is plain float64 numerics layered over the polynomial
-equation systems: locating the dominant singularity z_c(q) as the branch
-point where the system Jacobian loses invertibility, differencing z_c(q)
-to get the drift and variance of the winding of a long closed walk, and
-fitting or checking the subexponential factors predicted for coefficient
-sequences.  Exact coefficient inputs arrive as big integers, so logarithms
-go through a shifted-mantissa helper instead of float(x).
+equation systems.  The dominant singularity z_c(q) is the branch point where
+the system Jacobian loses invertibility: bisection brackets it, and Newton
+on the regular augmented system (Y = Phi, (I - Phi_Y) v = 0, sum(v) = 1)
+polishes it with an analytic Jacobian.  The drift and variance of the
+winding of a long closed walk come from z_c'(1) and z_c''(1), which implicit
+differentiation of that system at q = 1 gives exactly: the right-hand sides
+come from evaluating it over jets in R[eps]/(eps^3).  The rest fits or
+checks the subexponential factors predicted for coefficient sequences.
+Exact coefficient inputs arrive as big integers, so logarithms go through a
+shifted-mantissa helper instead of float(x).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -60,27 +63,130 @@ def _phi(system: EquationSystem, z: float, Y: dict[str, float], q: float) -> dic
     return out
 
 
-def _jacobian(system: EquationSystem, z: float, Y: dict[str, float], q: float):
-    """Analytic dPhi/dY and dPhi/dz; terms have at most two factors."""
-    names = system.unknowns
-    pos = {u: i for i, u in enumerate(names)}
-    n = len(names)
-    M = np.zeros((n, n))
-    phi_z = np.zeros(n)
-    for i, u in enumerate(names):
+def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product in R[eps]/(eps^K), with the K coefficients along the last axis."""
+    out = a[..., :1] * b
+    for k in range(1, a.shape[-1]):
+        out[..., k:] += a[..., k : k + 1] * b[..., :-k]
+    return out
+
+
+def _jet_pow(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for one jet x and an integer e; a negative e inverts x first."""
+    if e < 0:
+        inv = np.zeros_like(x)
+        inv[0] = 1.0 / x[0]
+        for k in range(1, len(x)):
+            inv[k] = -(x[1 : k + 1] @ inv[k - 1 :: -1]) / x[0]
+        x, e = inv, -e
+    out = np.zeros_like(x)
+    out[0] = 1.0
+    for _ in range(e):
+        out = _jet_mul(out, x)
+    return out
+
+
+def _jet_powers(x: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """x^e for every integer e in exps, one row each."""
+    lo = int(exps.min())
+    return np.stack([_jet_pow(x, e) for e in range(lo, int(exps.max()) + 1)])[exps - lo]
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """A system's terms as flat arrays, for the augmented system below.
+
+    Term j adds coeff[j] * z^z_pow[j] * q^q_pow[j] * Y[f1[j]] * Y[f2[j]] to
+    equation rows[j], where the factor index n stands for the constant 1.
+    """
+
+    n: int
+    rows: np.ndarray
+    coeff: np.ndarray
+    z_pow: np.ndarray
+    q_pow: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+
+
+def _terms(system: EquationSystem) -> _Terms:
+    n = len(system.unknowns)
+    pos = {u: i for i, u in enumerate(system.unknowns)}
+    table = []
+    for i, u in enumerate(system.unknowns):
         for t in system.equations[u]:
-            base = t.coeff * q**t.q_pow
-            fvals = [Y[f] for f in t.factors]
-            prod = math.prod(fvals)
-            if t.z_pow:
-                phi_z[i] += base * t.z_pow * z ** (t.z_pow - 1) * prod
-            zc = base * z**t.z_pow
-            if len(t.factors) == 1:
-                M[i, pos[t.factors[0]]] += zc
-            elif len(t.factors) == 2:
-                M[i, pos[t.factors[0]]] += zc * fvals[1]
-                M[i, pos[t.factors[1]]] += zc * fvals[0]
-    return M, phi_z
+            f1, f2 = [pos[f] for f in t.factors] + [n] * (2 - len(t.factors))
+            table.append((i, float(t.coeff), t.z_pow, t.q_pow, f1, f2))
+    return _Terms(n, *map(np.array, zip(*table)))
+
+
+def _augmented(tab: _Terms, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """G = (Y - Phi, v - Phi_Y v, sum(v) - 1) at x = (z, Y, v), over jets.
+
+    x has shape (2n + 1, K) and q shape (K,): coefficients in R[eps]/(eps^K)
+    run along the last axis, so K = 1 is plain evaluation.  At the branch
+    point v is a Perron vector of the nonnegative Phi_Y, so its entries have
+    one sign and sum(v) = 1 fixes its scale.
+    """
+    n, K = tab.n, x.shape[-1]
+    one = np.zeros((1, K))
+    one[0, 0] = 1.0
+    Y = np.vstack([x[1 : n + 1], one])
+    v = np.vstack([x[n + 1 :], np.zeros((1, K))])
+    w = tab.coeff[:, None] * _jet_mul(_jet_powers(q, tab.q_pow), _jet_powers(x[0], tab.z_pow))
+    y1, y2 = Y[tab.f1], Y[tab.f2]
+    phi = np.zeros((n, K))
+    np.add.at(phi, tab.rows, _jet_mul(w, _jet_mul(y1, y2)))
+    phi_v = np.zeros((n, K))
+    np.add.at(phi_v, tab.rows, _jet_mul(w, _jet_mul(y1, v[tab.f2]) + _jet_mul(v[tab.f1], y2)))
+    return np.vstack([Y[:n] - phi, v[:n] - phi_v, v[:n].sum(axis=0) - one])
+
+
+def _augmented_jacobian(tab: _Terms, x: np.ndarray, q: float) -> np.ndarray:
+    """dG/d(z, Y, v) at a float point x, analytic.
+
+    Terms have at most two factors, so Phi_YY v is the sparse table that puts
+    w * v[f2] at (row, f1) and w * v[f1] at (row, f2).
+    """
+    n = tab.n
+    z = x[0]
+    Y = np.append(x[1 : n + 1], 1.0)
+    v = np.append(x[n + 1 :], 0.0)
+    w = tab.coeff * q**tab.q_pow
+    wz = w * z**tab.z_pow
+    wd = w * tab.z_pow * z ** np.maximum(tab.z_pow - 1, 0)
+    y1, y2, v1, v2 = Y[tab.f1], Y[tab.f2], v[tab.f1], v[tab.f2]
+
+    def table(at_f1, at_f2):  # column n, the constant factor, is dropped
+        out = np.zeros((n, n + 1))
+        np.add.at(out, (tab.rows, tab.f1), at_f1)
+        np.add.at(out, (tab.rows, tab.f2), at_f2)
+        return out[:, :n]
+
+    A = np.eye(n) - table(wz * y2, wz * y1)  # I - Phi_Y
+    J = np.zeros((2 * n + 1, 2 * n + 1))
+    J[:n, 0] = -np.bincount(tab.rows, wd * y1 * y2, n)
+    J[:n, 1 : n + 1] = A
+    J[n : 2 * n, 0] = -np.bincount(tab.rows, wd * (y2 * v1 + y1 * v2), n)
+    J[n : 2 * n, 1 : n + 1] = -table(wz * v2, wz * v1)
+    J[n : 2 * n, n + 1 :] = A
+    J[2 * n, n + 1 :] = 1.0
+    return J
+
+
+def _with_null_vector(tab: _Terms, z: float, Y: list[float], q: float) -> np.ndarray:
+    """(z, Y, v) with A v = -s (1, ..., 1) and sum(v) = 1, where A = I - Phi_Y.
+
+    This bordered system stays regular where A is singular, and there s = 0
+    and v is A's null vector; near such a point v is close to it.
+    """
+    n = tab.n
+    x = np.concatenate([[z], Y, np.zeros(n)])
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = _augmented_jacobian(tab, x, q)[:n, 1 : n + 1]
+    bordered[n, n] = 0.0
+    x[n + 1 :] = np.linalg.solve(bordered, np.eye(n + 1)[n])[:n]
+    return x
 
 
 def _value_iterate(system: EquationSystem, z: float, q: float) -> dict[str, float] | None:
@@ -104,65 +210,50 @@ def _value_iterate(system: EquationSystem, z: float, q: float) -> dict[str, floa
 def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
     """Branch point z_c(q): Y = Phi(z_c, Y, q) with I - dPhi/dY singular.
 
-    Brackets z_c by stepping z in 0.01 increments until the value iteration
-    stops converging, then runs Newton on the augmented system in (z, Y).
+    Brackets z_c on (0, 0.6] by bisection until the bracket is at most 0.01
+    wide: z lies below z_c where the value iteration from Y = 0 converges.
+    Newton then starts at the bracket's midpoint with the lower end's Y, on
+    the regular augmented system in (z, Y, v): Y = Phi, (I - Phi_Y) v = 0 and
+    sum(v) = 1, with v started from a bordered solve (_with_null_vector).
+    Its Jacobian is analytic.  The residuals max |Y - Phi| and
+    |det(I - Phi_Y)| must both end at or below 1e-12.
     """
     names = system.unknowns
     n = len(names)
-    z_lo, Y_lo = 0.0, None
-    z = 0.0
-    while z < 0.6:
-        z += 0.01
-        Y = _value_iterate(system, z, q)
-        if Y is None:
-            break
-        z_lo, Y_lo = z, Y
-    else:
+    hi = 0.6
+    if _value_iterate(system, hi, q) is not None:
         raise RuntimeError(f"no divergence bracket below z = 0.6 at q = {q}")
+    lo, Y_lo = 0.0, None
+    while hi - lo > 0.01:
+        mid = (lo + hi) / 2
+        Y = _value_iterate(system, mid, q)
+        if Y is None:
+            hi = mid
+        else:
+            lo, Y_lo = mid, Y
     if Y_lo is None:
-        raise RuntimeError(f"value iteration already divergent at z = 0.01, q = {q}")
+        raise RuntimeError(f"value iteration already divergent at z = {hi}, q = {q}")
 
-    x = np.empty(n + 1)
-    x[0] = z_lo + 0.005
-    x[1:] = [Y_lo[u] for u in names]
+    tab = _terms(system)
+    x = _with_null_vector(tab, (lo + hi) / 2, [Y_lo[u] for u in names], q)
+    q_jet = np.array([q])
 
     def residual(vec):
-        zz = vec[0]
-        Y = dict(zip(names, vec[1:]))
-        phi = _phi(system, zz, Y, q)
-        M, phi_z = _jacobian(system, zz, Y, q)
-        g = np.empty(n + 1)
-        g[:n] = [Y[u] - phi[u] for u in names]
-        g[n] = np.linalg.det(np.eye(n) - M)
-        return g, M, phi_z
+        return _augmented(tab, vec[:, None], q_jet)[:, 0]
 
-    def det(vec):
-        M = _jacobian(system, vec[0], dict(zip(names, vec[1:])), q)[0]
-        return np.linalg.det(np.eye(n) - M)
-
-    g, M, phi_z = residual(x)
+    g = residual(x)
     for _ in range(80):
-        J = np.zeros((n + 1, n + 1))
-        J[:n, 0] = -phi_z
-        J[:n, 1:] = np.eye(n) - M
-        for col in range(n + 1):
-            h = 1e-7 * (1.0 + abs(x[col]))
-            xp = x.copy()
-            xp[col] += h
-            J[n, col] = (det(xp) - g[n]) / (2 * h)
-            xp[col] -= 2 * h
-            J[n, col] -= (det(xp) - g[n]) / (2 * h)
         try:
-            step = np.linalg.solve(J, -g)
+            step = np.linalg.solve(_augmented_jacobian(tab, x, q), -g)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular Newton step at z = {x[0]}, q = {q}") from exc
         scale = 1.0
         norm0 = np.max(np.abs(g))
         for _ in range(25):
             trial = x + scale * step
-            gt, Mt, pzt = residual(trial)
+            gt = residual(trial)
             if np.max(np.abs(gt)) < norm0:
-                x, g, M, phi_z = trial, gt, Mt, pzt
+                x, g = trial, gt
                 break
             scale /= 2
         else:
@@ -170,15 +261,16 @@ def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
         if np.max(np.abs(g)) < 1e-13:
             break
     fixed = float(np.max(np.abs(g[:n])))
-    det_res = float(abs(g[n]))
+    A = _augmented_jacobian(tab, x, q)[:n, 1 : n + 1]
+    det_res = float(abs(np.linalg.det(A)))
     if fixed > 1e-12 or det_res > 1e-12:
         raise RuntimeError(
             f"Newton stalled at z = {x[0]!r}, q = {q}: residuals {fixed:g}, {det_res:g}"
         )
-    Y_c = dict(zip(names, map(float, x[1:])))
+    Y_c = dict(zip(names, map(float, x[1 : n + 1])))
     if x[0] <= 0 or any(v <= 0 for v in Y_c.values()):
         raise RuntimeError(f"nonpositive critical data at q = {q}")
-    return CriticalPoint(q, float(x[0]), Y_c, (fixed, det_res))
+    return CriticalPoint(float(q), float(x[0]), Y_c, (fixed, det_res))
 
 
 def assembled_value(system: EquationSystem, Y: dict[str, float]) -> float:
@@ -198,25 +290,29 @@ def _qval(poly: QPolynomial, q: float) -> float:
     return sum(v * q**e for e, v in poly.pairs())
 
 
-def _eq_data(eq: PolynomialEquation, F: float, z: float, q: float):
-    """P, P_F, P_z, P_FF, P_Fz at a point, straight from the z-q tables."""
-    P = P_F = P_z = P_FF = P_Fz = 0.0
+def _eq_jets(eq: PolynomialEquation, X: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(P, P_F) at the jets (F, z) = X and q, as rows of coefficients."""
+    F, z = X
+    P, P_F = np.zeros_like(F), np.zeros_like(F)
+    F_power = _jet_pow(F, 0)
     for k, zpoly in enumerate(eq.terms):
-        c = cz = 0.0
+        c = np.zeros_like(F)
         for zp, cq in zpoly:
-            base = _qval(cq, q)
-            c += base * z**zp
-            if zp:
-                cz += base * zp * z ** (zp - 1)
-        fk = F ** (k - 2) if k >= 2 else 0.0
-        P += c * (F**k)
-        if k >= 1:
-            P_F += k * c * F ** (k - 1)
-            P_Fz += k * cz * F ** (k - 1)
-        if k >= 2:
-            P_FF += k * (k - 1) * c * fk
-        P_z += cz * F**k
-    return P, P_F, P_z, P_FF, P_Fz
+            for e, v in cq.pairs():
+                c += v * _jet_mul(_jet_pow(q, e), _jet_pow(z, zp))
+        if k:
+            P_F += k * _jet_mul(c, F_power)
+            F_power = _jet_mul(F_power, F)
+        P += _jet_mul(c, F_power)
+    return np.array([P, P_F])
+
+
+def _eq_newton(eq: PolynomialEquation, F: float, z: float, q: float):
+    """(P, P_F) at a point and its Jacobian in (F, z), from dual numbers."""
+    q_jet = np.array([q, 0.0])
+    by_F = _eq_jets(eq, np.array([[F, 1.0], [z, 0.0]]), q_jet)
+    by_z = _eq_jets(eq, np.array([[F, 0.0], [z, 1.0]]), q_jet)
+    return by_F[:, 0], np.column_stack([by_F[:, 1], by_z[:, 1]])
 
 
 def _roots_at(eq: PolynomialEquation, z: float, q: float) -> np.ndarray:
@@ -253,11 +349,9 @@ def algebraic_critical_point(eq: PolynomialEquation, q: float) -> CriticalPoint:
 
     x = np.array([F_lo, z_lo])
     for _ in range(100):
-        P, P_F, P_z, P_FF, P_Fz = _eq_data(eq, x[0], x[1], q)
-        g = np.array([P, P_F])
+        g, J = _eq_newton(eq, x[0], x[1], q)
         if np.max(np.abs(g)) < 1e-13:
             break
-        J = np.array([[P_F, P_z], [P_FF, P_Fz]])
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError as exc:
@@ -267,53 +361,72 @@ def algebraic_critical_point(eq: PolynomialEquation, q: float) -> CriticalPoint:
         if big > 0.25 * limit:
             step *= 0.25 * limit / big
         x = x + step
-    P, P_F, *_ = _eq_data(eq, x[0], x[1], q)
+    (P, P_F), _ = _eq_newton(eq, x[0], x[1], q)
     if abs(P) > 1e-10 or abs(P_F) > 1e-10 or x[1] <= 0 or x[0] <= 0:
         raise RuntimeError(
             f"branch-point Newton stalled at (F, z) = {tuple(x)}, q = {q}"
         )
-    return CriticalPoint(q, float(x[1]), {"F": float(x[0])}, (abs(P), abs(P_F)))
+    residuals = (float(abs(P)), float(abs(P_F)))
+    return CriticalPoint(float(q), float(x[1]), {"F": float(x[0])}, residuals)
 
 
-def _moments_at_step(zc_of_q, h: float, z1: float) -> tuple[float, float]:
-    zs = {k: zc_of_q(1.0 + k * h) for k in (-2, -1, 1, 2)}
-    d1 = (zs[-2] - 8 * zs[-1] + 8 * zs[1] - zs[2]) / (12 * h)
-    d2 = (-zs[-2] + 16 * zs[-1] - 30 * z1 + 16 * zs[1] - zs[2]) / (12 * h * h)
-    lam = -d1 / z1
-    sigma2 = -d2 / z1 + lam * lam + lam
-    return lam, sigma2
+def _limit_law(residual, x: np.ndarray, J: np.ndarray, z_at: int) -> LimitLaw:
+    """mu, lam and sigma2 from z_c and its first two q-derivatives at q = 1.
 
-
-def _moments(zc_of_q) -> LimitLaw:
-    zc_of_q = functools.cache(zc_of_q)  # both steps' stencils read q = 1 +- h: 7 solves
-    z1 = zc_of_q(1.0)
-    h = 1e-3
-    lam_a, sig_a = _moments_at_step(zc_of_q, h, z1)
-    lam_b, sig_b = _moments_at_step(zc_of_q, h / 2, z1)
-    if abs(lam_a - lam_b) > 1e-4 or abs(sig_a - sig_b) > 1e-4:
-        raise RuntimeError(
-            f"derivative estimates disagree: lam {lam_a} vs {lam_b}, "
-            f"sigma2 {sig_a} vs {sig_b}"
-        )
-    mu = 1.0 / z1
+    x solves the regular system residual(x, 1) = 0, J is its Jacobian in x
+    there, and residual evaluates the system over jets in R[eps]/(eps^3).
+    Write x(1 + eps) = x + x1 eps + x2 eps^2.  The eps^k coefficient of
+    residual(x(1 + eps), 1 + eps) is J x_k plus terms in x and x1 only, so
+    the implicit function theorem gives x1, then x2, from two solves with J.
+    Then z_c'(1) = x1[z_at], z_c''(1) = 2 x2[z_at], lam = -z_c'/z_c and
+    sigma2 = -z_c''/z_c + lam^2 + lam.  Raises if a solve is singular or
+    leaves an eps or eps^2 residual above 1e-12.
+    """
+    q = np.array([1.0, 1.0, 0.0])
+    X = np.zeros((len(x), 3))
+    X[:, 0] = x
+    for k in (1, 2):
+        try:
+            X[:, k] = np.linalg.solve(J, -residual(X, q)[:, k])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"singular derivative solve at z_c = {x[z_at]!r}") from exc
+    left = float(np.max(np.abs(residual(X, q)[:, 1:])))
+    if not left <= 1e-12:
+        raise RuntimeError(f"derivative solve at z_c = {x[z_at]!r} leaves residual {left:g}")
+    z, d1, half_d2 = X[z_at]
+    mu = 1.0 / z
     if mu <= 1.0:
         raise RuntimeError(f"growth rate {mu} not > 1")
-    return LimitLaw(mu, lam_b, sig_b)
+    lam = -d1 / z
+    sigma2 = -2 * half_d2 / z + lam * lam + lam
+    return LimitLaw(float(mu), float(lam), float(sigma2))
 
 
 def growth_and_moments(system: EquationSystem) -> LimitLaw:
-    """Drift and variance of winding per step, from z_c(q) near q = 1.
+    """Growth rate and the drift and variance of winding per step.
 
-    lam = -z_c'(1)/z_c(1) and sigma2 = -z_c''(1)/z_c(1) + lam^2 + lam, with
-    the derivatives taken by five-point central differences at h = 1e-3 and
-    validated against the halved step.
+    mu = 1/z_c(1), lam = -z_c'(1)/z_c(1) and
+    sigma2 = -z_c''(1)/z_c(1) + lam^2 + lam.  One find_critical_point call at
+    q = 1 locates (z_c, Y_c); the derivatives of z_c(q) come from implicit
+    differentiation of the augmented system there (see _limit_law), with
+    v the null vector of I - Phi_Y.
     """
-    return _moments(lambda q: find_critical_point(system, q).z_c)
+    cp = find_critical_point(system, 1.0)
+    tab = _terms(system)
+    x = _with_null_vector(tab, cp.z_c, [cp.Y_c[u] for u in system.unknowns], 1.0)
+    J = _augmented_jacobian(tab, x, 1.0)
+    return _limit_law(lambda X, q: _augmented(tab, X, q), x, J, 0)
 
 
 def algebraic_moments(eq: PolynomialEquation) -> LimitLaw:
-    """growth_and_moments for a series defined by one polynomial equation."""
-    return _moments(lambda q: algebraic_critical_point(eq, q).z_c)
+    """growth_and_moments for a series defined by one polynomial equation.
+
+    The regular system is P = P_F = 0 in (F, z), solved once at q = 1.
+    """
+    cp = algebraic_critical_point(eq, 1.0)
+    x = np.array([cp.Y_c["F"], cp.z_c])
+    _, J = _eq_newton(eq, x[0], x[1], 1.0)
+    return _limit_law(lambda X, q: _eq_jets(eq, X, q), x, J, 1)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -40,6 +41,15 @@ def star(spec: str) -> EquationSystem:
     return build_star_system(parse_group_spec(spec))
 
 
+def five_point_moments(zc_of_q, h: float) -> tuple[float, float]:
+    """lam and sigma2 from five-point central differences of z_c(q) at q = 1."""
+    zs = {k: zc_of_q(1.0 + k * h) for k in (-2, -1, 0, 1, 2)}
+    d1 = (zs[-2] - 8 * zs[-1] + 8 * zs[1] - zs[2]) / (12 * h)
+    d2 = (-zs[-2] + 16 * zs[-1] - 30 * zs[0] + 16 * zs[1] - zs[2]) / (12 * h * h)
+    lam = -d1 / zs[0]
+    return lam, -d2 / zs[0] + lam * lam + lam
+
+
 @pytest.fixture(scope="module")
 def g22_rows():
     return solve_series(star("G(2,2)"), 160).F.coeffs
@@ -65,10 +75,21 @@ class TestCriticalPoints:
         assert abs(assembled_value(sys23, cp.Y_c) - 6.744148958) < 1e-7
 
     def test_system_and_cubic_routes_agree(self):
-        for q in (1.0, 1.3):
-            a = find_critical_point(star("G(2,3)"), q).z_c
-            b = algebraic_critical_point(trefoil_equation(), q).z_c
-            assert abs(a - b) < 1e-11
+        system, eq = star("G(2,3)"), trefoil_equation()
+        for q in [0.7 + 0.1 * j for j in range(8)]:
+            a = find_critical_point(system, q)
+            b = algebraic_critical_point(eq, q)
+            assert abs(a.z_c - b.z_c) < 1e-11, q
+            assert max(a.residuals) <= 1e-12, q
+            assert max(b.residuals) <= 1e-12, q
+
+    def test_critical_point_fields_are_python_floats(self):
+        for cp in (
+            find_critical_point(star("G(2,3)"), 1.1),
+            algebraic_critical_point(trefoil_equation(), 1.1),
+        ):
+            values = [cp.q, cp.z_c, *cp.Y_c.values(), *cp.residuals]
+            assert all(type(v) is float for v in values), values
 
     def test_no_branch_point_reported(self):
         # purely linear growth keeps the iteration convergent past the scan roof
@@ -80,32 +101,32 @@ class TestCriticalPoints:
 class TestMoments:
     def test_trefoil_variance_constant(self):
         law = growth_and_moments(star("G(2,3)"))
-        assert abs(law.lam) < 1e-8
+        assert abs(law.lam) < 1e-13
         assert abs(law.sigma2 - 0.1801879352) < 1e-6
         root = min(r for r in minimal_poly_check(0.18, TREFOIL_VARIANCE_POLY).real_roots if r > 0)
-        assert abs(law.sigma2 - root) < 1e-7
+        assert abs(law.sigma2 - root) < 1e-13
 
     def test_braid_moments(self):
         law = algebraic_moments(braid_equation())
         assert abs(law.mu - (1 + 2 * math.sqrt(2))) < 1e-10
-        assert abs(law.sigma2 - (5 - 3 * math.sqrt(2)) / 7) < 1e-8
+        assert abs(law.sigma2 - (5 - 3 * math.sqrt(2)) / 7) < 1e-13
 
     def test_g33_agrees_with_braid_equation(self):
         law = growth_and_moments(star("G(3,3)"))
-        assert abs(law.sigma2 - (5 - 3 * math.sqrt(2)) / 7) < 1e-6
+        assert abs(law.sigma2 - (5 - 3 * math.sqrt(2)) / 7) < 1e-13
 
     def test_star_drift_vanishes(self):
-        for spec in ("G(2,3)", "G(3,4)", "G(2,2,2)"):
-            assert abs(growth_and_moments(star(spec)).lam) < 1e-8
+        for spec in ("G(2,2)", "G(2,3)", "G(3,3)", "G(3,4)", "G(2,2,2)", "G(3,5)"):
+            assert abs(growth_and_moments(star(spec)).lam) < 1e-13, spec
 
     def test_all_two_periods_growth(self):
         for k in (2, 3, 4):
             system = star("G(" + ",".join("2" * k) + ")")
-            mu = growth_and_moments(system).mu
-            assert abs(mu - 4 * math.sqrt(k - 1)) < 1e-10
+            law = growth_and_moments(system)
+            assert abs(law.mu - 4 * math.sqrt(k - 1)) < 1e-10
+            assert abs(law.sigma2 - 0.25) < 1e-13
 
-    def test_each_q_solved_once(self, monkeypatch):
-        # the stencils at h and h/2 share q = 1 +- h: 7 distinct points, not 9
+    def test_one_critical_point_at_q1(self, monkeypatch):
         calls = []
         find = asymptotics.find_critical_point
 
@@ -115,7 +136,30 @@ class TestMoments:
 
         monkeypatch.setattr(asymptotics, "find_critical_point", counted)
         growth_and_moments(star("G(2,2)"))
-        assert len(calls) == len(set(calls)) == 7
+        assert calls == [1.0]
+
+    def test_limit_law_fields_are_python_floats(self):
+        for law in (growth_and_moments(star("G(2,3)")), algebraic_moments(braid_equation())):
+            assert all(type(v) is float for v in (law.mu, law.lam, law.sigma2)), law
+
+    @pytest.mark.parametrize("name", ["G(2,3)", "G(3,4)", "G(2,2,2)", "B3-axa", "B3-standard"])
+    def test_derivatives_match_five_point_stencil(self, name):
+        # z_c'(1) and z_c''(1) by central differences at h and h/2, each
+        # point bracketed afresh at q != 1
+        if name == "B3-standard":
+            eq = braid_equation()
+            law = algebraic_moments(eq)
+            zc_of_q = functools.cache(lambda q: algebraic_critical_point(eq, q).z_c)
+        else:
+            system = build_axa_system() if name == "B3-axa" else star(name)
+            law = growth_and_moments(system)
+            zc_of_q = functools.cache(lambda q: find_critical_point(system, q).z_c)
+        h = 1e-3
+        lam_a, sig_a = five_point_moments(zc_of_q, h)
+        lam_b, sig_b = five_point_moments(zc_of_q, h / 2)
+        assert abs(lam_a - lam_b) < 1e-4 and abs(sig_a - sig_b) < 1e-4
+        assert abs(law.lam - lam_b) < 1e-4
+        assert abs(law.sigma2 - sig_b) < 1e-4
 
     def test_axa_growth_both_routes(self):
         mu_sys = 1.0 / find_critical_point(build_axa_system(), 1.0).z_c
