@@ -4,10 +4,14 @@ Everything here is plain float64 numerics layered over the polynomial
 equation systems.  The dominant singularity z_c(q) is the branch point where
 the system Jacobian loses invertibility: bisection brackets it, and Newton
 on the regular augmented system (Y = Phi, (I - Phi_Y) v = 0, sum(v) = 1)
-polishes it with an analytic Jacobian.  The drift and variance of the
-winding of a long closed walk come from z_c'(1) and z_c''(1), which implicit
-differentiation of that system at q = 1 gives exactly: the right-hand sides
-come from evaluating it over jets in R[eps]/(eps^3).  The rest fits or
+polishes it with an analytic Jacobian.  A single polynomial equation
+P(F, z, q) = 0 is bracketed by root continuation and then handled as its
+lowered system F = 1 + z*H (fastseries.equation_system), so both routes
+share that Newton, report every unknown in Y_c and the same residuals, and
+share the moment code.  The drift and variance of the winding of a long
+closed walk come from z_c'(1) and z_c''(1), which implicit differentiation
+of that system at q = 1 gives exactly: the right-hand sides come from
+evaluating it over jets in R[eps]/(eps^3).  The rest fits or
 checks the subexponential factors predicted for coefficient sequences.
 Exact coefficient inputs arrive as big integers, so logarithms go through a
 shifted-mantissa helper instead of float(x).
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import PolynomialEquation
+from .fastseries import EquationSystem, equation_system
 from .qseries import QPolynomial
-from .systems import EquationSystem
 
 LN2 = math.log(2.0)
 _VALUE_ITERATIONS = 5000  # _value_iterate gives up after this many steps
@@ -40,7 +44,7 @@ class CriticalPoint:
     q: float
     z_c: float
     Y_c: dict[str, float]
-    residuals: tuple[float, float]  # (fixed point, determinant)
+    residuals: tuple[float, float]  # (max |Y - Phi|, |det(I - Phi_Y)|) on both routes
 
 
 @dataclass(frozen=True)
@@ -207,35 +211,19 @@ def _value_iterate(system: EquationSystem, z: float, q: float) -> dict[str, floa
     return None
 
 
-def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
-    """Branch point z_c(q): Y = Phi(z_c, Y, q) with I - dPhi/dY singular.
+def _polish(system: EquationSystem, z: float, Y: dict[str, float], q: float) -> CriticalPoint:
+    """Newton from (z, Y) to the branch point on the augmented system.
 
-    Brackets z_c on (0, 0.6] by bisection until the bracket is at most 0.01
-    wide: z lies below z_c where the value iteration from Y = 0 converges.
-    Newton then starts at the bracket's midpoint with the lower end's Y, on
-    the regular augmented system in (z, Y, v): Y = Phi, (I - Phi_Y) v = 0 and
-    sum(v) = 1, with v started from a bordered solve (_with_null_vector).
-    Its Jacobian is analytic.  The residuals max |Y - Phi| and
-    |det(I - Phi_Y)| must both end at or below 1e-12.
+    The unknowns are (z, Y, v): Y = Phi, (I - Phi_Y) v = 0 and sum(v) = 1,
+    with v started from a bordered solve (_with_null_vector).  The Jacobian
+    is analytic and steps are damped until the residual falls.  The
+    residuals max |Y - Phi| and |det(I - Phi_Y)| must both end at or below
+    1e-12, and z and every Y must end positive.
     """
     names = system.unknowns
     n = len(names)
-    hi = 0.6
-    if _value_iterate(system, hi, q) is not None:
-        raise RuntimeError(f"no divergence bracket below z = 0.6 at q = {q}")
-    lo, Y_lo = 0.0, None
-    while hi - lo > 0.01:
-        mid = (lo + hi) / 2
-        Y = _value_iterate(system, mid, q)
-        if Y is None:
-            hi = mid
-        else:
-            lo, Y_lo = mid, Y
-    if Y_lo is None:
-        raise RuntimeError(f"value iteration already divergent at z = {hi}, q = {q}")
-
     tab = _terms(system)
-    x = _with_null_vector(tab, (lo + hi) / 2, [Y_lo[u] for u in names], q)
+    x = _with_null_vector(tab, z, [Y[u] for u in names], q)
     q_jet = np.array([q])
 
     def residual(vec):
@@ -273,46 +261,31 @@ def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
     return CriticalPoint(float(q), float(x[0]), Y_c, (fixed, det_res))
 
 
-def assembled_value(system: EquationSystem, Y: dict[str, float]) -> float:
-    """F at a point, assembled the same way solve_series assembles series."""
-    if system.main:
-        return Y[system.main]
-    total = 0.0
-    for facet, name in system.facet_roots.items():
-        if facet in system.facet_primitives:
-            total += Y[system.facet_primitives[facet]]
+def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
+    """Branch point z_c(q): Y = Phi(z_c, Y, q) with I - dPhi/dY singular.
+
+    Brackets z_c on (0, 0.6] by bisection until the bracket is at most 0.01
+    wide: z lies below z_c where the value iteration from Y = 0 converges.
+    _polish then starts at the bracket's midpoint with the lower end's Y.
+    """
+    hi = 0.6
+    if _value_iterate(system, hi, q) is not None:
+        raise RuntimeError(f"no divergence bracket below z = 0.6 at q = {q}")
+    lo, Y_lo = 0.0, None
+    while hi - lo > 0.01:
+        mid = (lo + hi) / 2
+        Y = _value_iterate(system, mid, q)
+        if Y is None:
+            hi = mid
         else:
-            total += 1.0 - 1.0 / Y[name]
-    return 1.0 / (1.0 - total)
+            lo, Y_lo = mid, Y
+    if Y_lo is None:
+        raise RuntimeError(f"value iteration already divergent at z = {hi}, q = {q}")
+    return _polish(system, (lo + hi) / 2, Y_lo, q)
 
 
 def _qval(poly: QPolynomial, q: float) -> float:
     return sum(v * q**e for e, v in poly.pairs())
-
-
-def _eq_jets(eq: PolynomialEquation, X: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(P, P_F) at the jets (F, z) = X and q, as rows of coefficients."""
-    F, z = X
-    P, P_F = np.zeros_like(F), np.zeros_like(F)
-    F_power = _jet_pow(F, 0)
-    for k, zpoly in enumerate(eq.terms):
-        c = np.zeros_like(F)
-        for zp, cq in zpoly:
-            for e, v in cq.pairs():
-                c += v * _jet_mul(_jet_pow(q, e), _jet_pow(z, zp))
-        if k:
-            P_F += k * _jet_mul(c, F_power)
-            F_power = _jet_mul(F_power, F)
-        P += _jet_mul(c, F_power)
-    return np.array([P, P_F])
-
-
-def _eq_newton(eq: PolynomialEquation, F: float, z: float, q: float):
-    """(P, P_F) at a point and its Jacobian in (F, z), from dual numbers."""
-    q_jet = np.array([q, 0.0])
-    by_F = _eq_jets(eq, np.array([[F, 1.0], [z, 0.0]]), q_jet)
-    by_z = _eq_jets(eq, np.array([[F, 0.0], [z, 1.0]]), q_jet)
-    return by_F[:, 0], np.column_stack([by_F[:, 1], by_z[:, 1]])
 
 
 def _roots_at(eq: PolynomialEquation, z: float, q: float) -> np.ndarray:
@@ -327,8 +300,12 @@ def algebraic_critical_point(eq: PolynomialEquation, q: float) -> CriticalPoint:
 
     Tracks the root branch through F(0) = 1 by nearest-root continuation and
     brackets the z where that branch turns complex, which is where it collides
-    with its conjugate partner.  A two-variable Newton then polishes (F, z).
-    Y_c carries the single entry "F".
+    with its conjugate partner.  The root is then the unknown F of the lowered
+    system F = 1 + z*H (fastseries.equation_system): H = (F - 1)/z at the
+    bracket's lower end, every later unknown comes from its own equation, and
+    _polish refines that system's branch point.  So Y_c holds every lowered
+    unknown, F included, and residuals are (fixed point, determinant) as in
+    find_critical_point.
     """
     def nearest(z: float, guess: float) -> complex:
         roots = _roots_at(eq, z, q)
@@ -347,53 +324,42 @@ def algebraic_critical_point(eq: PolynomialEquation, q: float) -> CriticalPoint:
     if dz > 1e-11:
         raise RuntimeError(f"no branch point found below z = 0.6 at q = {q}")
 
-    x = np.array([F_lo, z_lo])
-    for _ in range(100):
-        g, J = _eq_newton(eq, x[0], x[1], q)
-        if np.max(np.abs(g)) < 1e-13:
-            break
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular step at z = {x[1]}, q = {q}") from exc
-        limit = 1.0 + np.max(np.abs(x))
-        big = np.max(np.abs(step))
-        if big > 0.25 * limit:
-            step *= 0.25 * limit / big
-        x = x + step
-    (P, P_F), _ = _eq_newton(eq, x[0], x[1], q)
-    if abs(P) > 1e-10 or abs(P_F) > 1e-10 or x[1] <= 0 or x[0] <= 0:
-        raise RuntimeError(
-            f"branch-point Newton stalled at (F, z) = {tuple(x)}, q = {q}"
-        )
-    residuals = (float(abs(P)), float(abs(P_F)))
-    return CriticalPoint(float(q), float(x[1]), {"F": float(x[0])}, residuals)
+    system = equation_system(eq)
+    Y = dict.fromkeys(system.unknowns, 0.0)
+    Y["H"] = (F_lo - 1.0) / z_lo
+    for u in system.unknowns[1:]:
+        Y[u] = _phi(system, z_lo, Y, q)[u]
+    return _polish(system, z_lo, Y, q)
 
 
-def _limit_law(residual, x: np.ndarray, J: np.ndarray, z_at: int) -> LimitLaw:
+def _limit_law(system: EquationSystem, cp: CriticalPoint) -> LimitLaw:
     """mu, lam and sigma2 from z_c and its first two q-derivatives at q = 1.
 
-    x solves the regular system residual(x, 1) = 0, J is its Jacobian in x
-    there, and residual evaluates the system over jets in R[eps]/(eps^3).
-    Write x(1 + eps) = x + x1 eps + x2 eps^2.  The eps^k coefficient of
-    residual(x(1 + eps), 1 + eps) is J x_k plus terms in x and x1 only, so
-    the implicit function theorem gives x1, then x2, from two solves with J.
-    Then z_c'(1) = x1[z_at], z_c''(1) = 2 x2[z_at], lam = -z_c'/z_c and
+    cp is system's branch point at q = 1, and x = (z, Y, v) solves the
+    augmented system G(x, 1) = 0 there, with v from _with_null_vector and J
+    its Jacobian in x.  Write x(1 + eps) = x + x1 eps + x2 eps^2.  The eps^k
+    coefficient of G(x(1 + eps), 1 + eps), evaluated over jets in
+    R[eps]/(eps^3), is J x_k plus terms in x and x1 only, so the implicit
+    function theorem gives x1, then x2, from two solves with J.  Then
+    z_c'(1) = x1[0], z_c''(1) = 2 x2[0], lam = -z_c'/z_c and
     sigma2 = -z_c''/z_c + lam^2 + lam.  Raises if a solve is singular or
     leaves an eps or eps^2 residual above 1e-12.
     """
+    tab = _terms(system)
+    x = _with_null_vector(tab, cp.z_c, [cp.Y_c[u] for u in system.unknowns], 1.0)
+    J = _augmented_jacobian(tab, x, 1.0)
     q = np.array([1.0, 1.0, 0.0])
     X = np.zeros((len(x), 3))
     X[:, 0] = x
     for k in (1, 2):
         try:
-            X[:, k] = np.linalg.solve(J, -residual(X, q)[:, k])
+            X[:, k] = np.linalg.solve(J, -_augmented(tab, X, q)[:, k])
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular derivative solve at z_c = {x[z_at]!r}") from exc
-    left = float(np.max(np.abs(residual(X, q)[:, 1:])))
+            raise RuntimeError(f"singular derivative solve at z_c = {cp.z_c!r}") from exc
+    left = float(np.max(np.abs(_augmented(tab, X, q)[:, 1:])))
     if not left <= 1e-12:
-        raise RuntimeError(f"derivative solve at z_c = {x[z_at]!r} leaves residual {left:g}")
-    z, d1, half_d2 = X[z_at]
+        raise RuntimeError(f"derivative solve at z_c = {cp.z_c!r} leaves residual {left:g}")
+    z, d1, half_d2 = X[0]
     mu = 1.0 / z
     if mu <= 1.0:
         raise RuntimeError(f"growth rate {mu} not > 1")
@@ -408,25 +374,18 @@ def growth_and_moments(system: EquationSystem) -> LimitLaw:
     mu = 1/z_c(1), lam = -z_c'(1)/z_c(1) and
     sigma2 = -z_c''(1)/z_c(1) + lam^2 + lam.  One find_critical_point call at
     q = 1 locates (z_c, Y_c); the derivatives of z_c(q) come from implicit
-    differentiation of the augmented system there (see _limit_law), with
-    v the null vector of I - Phi_Y.
+    differentiation of the augmented system there (see _limit_law).
     """
-    cp = find_critical_point(system, 1.0)
-    tab = _terms(system)
-    x = _with_null_vector(tab, cp.z_c, [cp.Y_c[u] for u in system.unknowns], 1.0)
-    J = _augmented_jacobian(tab, x, 1.0)
-    return _limit_law(lambda X, q: _augmented(tab, X, q), x, J, 0)
+    return _limit_law(system, find_critical_point(system, 1.0))
 
 
 def algebraic_moments(eq: PolynomialEquation) -> LimitLaw:
     """growth_and_moments for a series defined by one polynomial equation.
 
-    The regular system is P = P_F = 0 in (F, z), solved once at q = 1.
+    The moments are those of eq's lowered system (fastseries.equation_system)
+    at the branch point algebraic_critical_point finds at q = 1.
     """
-    cp = algebraic_critical_point(eq, 1.0)
-    x = np.array([cp.Y_c["F"], cp.z_c])
-    _, J = _eq_newton(eq, x[0], x[1], 1.0)
-    return _limit_law(lambda X, q: _eq_jets(eq, X, q), x, J, 1)
+    return _limit_law(equation_system(eq), algebraic_critical_point(eq, 1.0))
 
 
 @dataclass(frozen=True)

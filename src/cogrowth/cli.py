@@ -25,11 +25,9 @@ from .asymptotics import (
     variance_sequence,
 )
 from .groups import BRAID_AXA, BRAID_STANDARD, GroupSpec, parse_group_spec
-from .oracle import DEFAULT_STATE_CAP, count_closed_walks, count_one_sided_walks
+from .oracle import count_closed_walks, count_one_sided_walks
 # solve_series is unused here; perfbench/worker.py traces it by this name
 from .systems import group_series, solve_series, system_for
-
-STATE_CAP_ENV = "COGROWTH_STATE_CAP"
 
 AXA_GROWTH_POLY = [-108, 1192, 7788, -12888, -8940, 9136, 6598, -130, -763, -88, 24, 4]
 TREFOIL_GROWTH_POLY = [4, 12, -11, -2, 1]  # m^4 - 2m^3 - 11m^2 + 12m + 4
@@ -83,13 +81,10 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.group)
-    cap = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
     if args.facet is None:
-        table = count_closed_walks(spec, args.order, max_len_cap=args.order, state_cap=cap)
+        table = count_closed_walks(spec, args.order, max_len_cap=args.order)
     else:
-        table = count_one_sided_walks(
-            spec, args.facet, args.order, max_len_cap=args.order, state_cap=cap
-        )
+        table = count_one_sided_walks(spec, args.facet, args.order, max_len_cap=args.order)
     counts = table.rows_json()
     _dump({"group": args.group, "counts": counts}, args.out)
     if args.csv:
@@ -158,7 +153,16 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 def cmd_guess(args: argparse.Namespace) -> int:
     with open(args.infile) as fh:
         raw = json.load(fh)
-    seq = [int(v) for v in raw]
+    if not isinstance(raw, list):
+        raise ValueError(f"{args.infile}: expected a JSON list of integers")
+    seq = []
+    for i, v in enumerate(raw):
+        # JSON integers or decimal-integer strings; floats and bools are refused
+        if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+            v = int(v)
+        elif type(v) is not int:
+            raise ValueError(f"{args.infile}: entry {i} is {v!r}, not an integer")
+        seq.append(v)
     rec = guess_recurrence(seq, args.max_order, args.max_degree)
     if rec is None:
         print("no recurrence found within the given shape", file=sys.stderr)

@@ -99,7 +99,7 @@ class EquationSystem:
                         raise RuntimeError(f"{u}: order n of {f} needed too early")
 
 
-def _equation_system(eq: PolynomialEquation) -> EquationSystem:
+def equation_system(eq: PolynomialEquation) -> EquationSystem:
     """The root of eq with f0 = 1 as the system F = 1 + z*H.
 
     Substituting F = 1 + G into sum_k c_k F^k gives sum A[zp, j] z^zp G^j with
@@ -431,7 +431,7 @@ def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
     symmetric, its dP/dF at (z, F) = (0, 1) is not a nonzero integer or
     f0 = 1 is not a root, and ArithmeticError from the lift's checks.
     """
-    system = _equation_system(eq)
+    system = equation_system(eq)
     return _lift(system, order, ["F"], mirrored=True, bound=2 * 4**order)["F"]
 
 

@@ -8,7 +8,6 @@ from cogrowth.algebraic import axa_q1_equation, braid_equation, trefoil_equation
 from cogrowth.asymptotics import (
     algebraic_critical_point,
     algebraic_moments,
-    assembled_value,
     expected_returns,
     exponent_fit,
     find_critical_point,
@@ -69,10 +68,32 @@ class TestCriticalPoints:
         assert abs(cp.z_c - 0.25) < 1e-12
 
     def test_trefoil_point(self):
-        sys23 = star("G(2,3)")
-        cp = find_critical_point(sys23, 1.0)
+        cp = find_critical_point(star("G(2,3)"), 1.0)
         assert abs(cp.z_c - 0.2531241216) < 1e-9
-        assert abs(assembled_value(sys23, cp.Y_c) - 6.744148958) < 1e-7
+        eq_cp = algebraic_critical_point(trefoil_equation(), 1.0)
+        assert abs(eq_cp.Y_c["F"] - 6.744148958) < 1e-7
+        assert abs(eq_cp.z_c - cp.z_c) < 1e-11
+
+    @pytest.mark.parametrize("make_eq", [braid_equation, trefoil_equation, axa_q1_equation])
+    def test_equation_points_solve_the_equation(self, make_eq):
+        # P and dP/dF straight from eq.terms, not through the lowered system
+        eq = make_eq()
+        for q in [0.7 + 0.1 * j for j in range(8)]:
+            cp = algebraic_critical_point(eq, q)
+            F, z = cp.Y_c["F"], cp.z_c
+            P = []
+            P_F = []
+            for k, zpoly in enumerate(eq.terms):
+                for zp, cq in zpoly:
+                    for e, v in cq.pairs():
+                        c = v * q**e * z**zp
+                        P.append(c * F**k)
+                        P_F.append(k * c * F ** max(k - 1, 0))
+            for values in (P, P_F):
+                assert abs(sum(values)) < 1e-9 * sum(map(abs, values)), (q, values)
+            assert max(cp.residuals) <= 1e-12, q
+            fields = [cp.q, cp.z_c, *cp.Y_c.values(), *cp.residuals]
+            assert all(type(v) is float for v in fields), fields
 
     def test_system_and_cubic_routes_agree(self):
         system, eq = star("G(2,3)"), trefoil_equation()

@@ -96,6 +96,38 @@ def test_guess_failure_exit(tmp_path):
     assert main(["guess", "--in", str(src), "--max-order", "2", "--max-degree", "1"]) == 1
 
 
+def test_guess_accepts_integers_and_integer_strings(tmp_path):
+    src, dst = tmp_path / "seq.json", tmp_path / "rec.json"
+    src.write_text(json.dumps([v if n % 2 else str(v) for n, v in enumerate(FIB)]))
+    assert main(["guess", "--in", str(src), "--max-order", "3", "--max-degree", "1",
+                 "--out", str(dst)]) == 0
+    assert json.loads(dst.read_text())["order"] == 2
+
+
+POWERS = [2**n for n in range(40)]
+
+
+@pytest.mark.parametrize(
+    "doc, bad",
+    [
+        (POWERS[:5] + [32.9] + POWERS[6:], "32.9"),
+        (POWERS[:5] + [32.0] + POWERS[6:], "32.0"),
+        (POWERS[:5] + [True] + POWERS[6:], "True"),
+        (POWERS[:5] + ["32.9"] + POWERS[6:], "'32.9'"),
+        (POWERS[:5] + [" 32"] + POWERS[6:], "' 32'"),
+        (POWERS[:5] + [None] + POWERS[6:], "None"),
+        (5, "expected a JSON list"),
+        ({"terms": POWERS}, "expected a JSON list"),
+    ],
+)
+def test_guess_rejects_non_integer_input(tmp_path, capsys, doc, bad):
+    src = tmp_path / "seq.json"
+    src.write_text(json.dumps(doc))
+    assert main(["guess", "--in", str(src), "--max-order", "2", "--max-degree", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "bogus"])
