@@ -10,14 +10,15 @@ more prime.  Products of two residues stay below 2^52, so a sum of fewer
 than 2^11 of them (one power-series convolution at order < 2^11) fits an
 int64 unreduced.  The same kernel run on (interval, log2 mass) triples
 instead of residues gives each series a provable q-exponent window per order
-and a bound on its coefficients; L is the smallest 2^a * 3^b above the
-widest window that is lifted, so the inverse transform is a mixed-radix (2, 3)
-one, and the CRT bound is the largest mass lifted.
+and a bound on its coefficients; L is the widest window that is lifted plus
+one, any integer, and the CRT bound is the largest mass lifted.  The inverse
+transform is one dense DFT matrix per prime, applied as two exact float64
+products (_inverse_dft).
 system_rows solves an EquationSystem on all lanes, since one-sided series are
 not symmetric.  high_order_rows solves one polynomial equation P(F) = 0 as the
 system F = 1 + z*H of its root with f0 = 1; its rows are q -> 1/q symmetric,
-so only lanes 0..L//2 are solved and the rest mirrored, and its coefficients
-are bounded by the 4^n words of length n.
+so only lanes 0..L//2 are solved, the transform folds the mirrored lanes into
+its matrix, and its coefficients are bounded by the 4^n words of length n.
 """
 from __future__ import annotations
 
@@ -32,8 +33,11 @@ from .qseries import QP_ZERO, QPolynomial, QZSeries
 
 # sums of fewer than this many products below p^2 < 2^52 fit an int64
 _MAX_UNREDUCED = 1 << 11
-# primes are solved side by side, as many as fill this many lanes
+# primes are solved side by side, as many as fill this many solved lanes
 _BLOCK_COLUMNS = 1024
+# float64 sums of L products of a 26-bit residue and a 13-bit half are
+# exact for L below this: L * 2^26 * 2^13 < 2^53
+_MAX_LANES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,20 +166,13 @@ def _ntt_primes(bound: int, lanes: int) -> list[int]:
     return out
 
 
-def _lane_count(width: int) -> int:
-    """The smallest 2^a * 3^b above width: every window leaves a slot outside."""
-    threes = [1]
-    while threes[-1] <= width:
-        threes.append(3 * threes[-1])
-    return min(t << (width // t).bit_length() for t in threes)
-
-
 def _root_of_unity(p: int, lanes: int) -> int:
-    """A primitive lanes-th root of unity mod p, for p = 1 (mod lanes) and
-    lanes = 2^a * 3^b: w^(lanes/r) != 1 for each prime factor r."""
+    """A primitive lanes-th root of unity mod p, for p = 1 (mod lanes):
+    w^(lanes/r) != 1 for each prime factor r of lanes."""
+    factors = [r for r in range(2, lanes + 1) if lanes % r == 0 and _is_prime(r)]
     for a in range(2, 1000):
         w = pow(a, (p - 1) // lanes, p)
-        if all(pow(w, lanes // r, p) != 1 for r in (2, 3) if lanes % r == 0):
+        if all(pow(w, lanes // r, p) != 1 for r in factors):
             return w
     raise ArithmeticError(f"no primitive {lanes}-th root mod {p}")
 
@@ -188,33 +185,27 @@ def _powers(p: int, w: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _intt_rows(mat: np.ndarray, p: int, w: int) -> np.ndarray:
-    """Inverse transform along axis 1; mat holds values at q = w^t, t < L = 2^a * 3^b.
+def _inverse_dft(mat: np.ndarray, p: int, w: int, lanes: int) -> np.ndarray:
+    """Inverse DFT mod p along axis 1 of mat, the values at q = w^t.
 
-    Mixed-radix decimation in time.  With L = r_1 * ... * r_s and lane
-    t = t_1 + r_1 * t_2 + r_1 r_2 * t_3 + ..., the lanes are put in
-    digit-reversed order (t_1 most significant); then each radix-r step, from
-    r_s up to r_1, merges r interleaved transforms of length m into one of
-    length r*m: coefficient k1 + m*k2 is the sum over t1 < r of
-    root^(t1 * (k1 + m*k2)) times coefficient k1 of transform t1, with root
-    of order r*m.  A step sums r <= 3 products below 2^52 in an int64.
+    mat holds lanes t < L, or t <= L//2 of rows mirrored as v_(L-t) = v_t;
+    their coefficients are mirrored too, and only those of exponents
+    0..L//2 come back.  The folded matrix adds w^(tk) to row t wherever t
+    and L - t are distinct lanes.  The matrix, scaled by 1/L, is split into
+    two 13-bit halves, each applied as one float64 product: a residue below
+    2^26 times a half below 2^13, summed over fewer than 2^14 lanes, stays
+    below 2^53, so every partial sum is an exact integer.
     """
-    rows, n = mat.shape
-    radices, rest = [], n  # r_s, ..., r_1
-    for r in (2, 3):
-        while rest % r == 0:
-            radices.append(r)
-            rest //= r
-    s = len(radices)  # another prime factor of n makes this reshape raise
-    x = mat.reshape(rows, *radices).transpose(0, *range(s, 0, -1)).reshape(rows, n)
-    powers = _powers(p, pow(w, p - 2, p), n)  # evaluate at inverse powers
-    m = 1
-    for r in radices:
-        k = np.arange(r * m).reshape(r, m)  # k1 + m*k2 at [k2, k1]
-        y = x.reshape(rows, -1, r, 1, m)
-        x = sum(y[:, :, t] * powers[t * k % (r * m) * (n // (r * m))] for t in range(r)) % p
-        m *= r
-    return x.reshape(rows, n) * pow(n, p - 2, p) % p
+    t = np.arange(mat.shape[1])
+    inverse = _powers(p, pow(w, -1, p), lanes) * pow(lanes, -1, p) % p
+    m = inverse[np.outer(t, t) % lanes]
+    if len(t) < lanes:
+        twin = (t > 0) & (2 * t < lanes)
+        m[twin] = (m[twin] + inverse[np.outer(-t[twin], t) % lanes]) % p
+    x = mat.astype(np.float64)
+    high = (x @ (m >> 13).astype(np.float64)).astype(np.int64) % p
+    low = (x @ (m & 8191).astype(np.float64)).astype(np.int64)
+    return ((high << 13) + low) % p
 
 
 def _lift(
@@ -223,39 +214,44 @@ def _lift(
     """Exact rows 0..order of the named unknowns of system, from their lane values.
 
     The bounds pass gives each named series' q-window per row; L is the
-    smallest 2^a * 3^b above the widest (_lane_count).  Every prime block runs
-    _run_system on lanes 0..L-1, or on lanes 0..L//2 when mirrored (q -> 1/q
-    symmetric rows) with the rest mirrored; only the named series are
-    transformed back, and mirrored rows keep and lift exponents 0..hi only.
-    Unknowns that are not named may wrap around the lanes: evaluation at a
-    root of unity is a ring map, so the named values stay exact.  The CRT
-    takes |coefficients| < bound / 2, or, when bound is None, the bounds
-    pass's mass bound over the named series.  Raises ArithmeticError on a
-    residue outside a window or a check-prime mismatch.
+    widest window plus one, so every window leaves a slot outside it for the
+    leak check.  Every prime block runs _run_system on lanes 0..L-1, or on
+    lanes 0..L//2 when mirrored (q -> 1/q symmetric rows); blocks fill
+    _BLOCK_COLUMNS with solved lanes.  Only the named series are transformed
+    back (_inverse_dft, folded when mirrored), and mirrored rows keep and
+    lift exponents 0..hi only.  Unknowns that are not named may wrap around
+    the lanes: evaluation at a root of unity is a ring map, so the named
+    values stay exact.  The CRT takes |coefficients| < bound / 2, or, when
+    bound is None, the bounds pass's mass bound over the named series.
+    Raises ValueError for L >= _MAX_LANES, before the lane solve, and
+    ArithmeticError on a residue outside a window or a check-prime mismatch.
     """
     windows, mass = _bounds(system, order, names)
     if bound is None:
         bound = 1 << (ceil(mass) + 1)  # > 2 * |coefficient|
-    lanes = _lane_count(int(max((hi - lo).max() + 1 for lo, hi in windows.values())))
+    lanes = int(max((hi - lo).max() + 1 for lo, hi in windows.values())) + 1
+    if lanes >= _MAX_LANES:
+        raise ValueError(f"{lanes} lanes: the float64 transform is exact below {_MAX_LANES}")
     *primes, check = _ntt_primes(bound, lanes)
     solved = lanes // 2 + 1 if mirrored else lanes
-    mirror = np.concatenate([np.arange(solved), np.arange(lanes - solved, 0, -1)])
-    slots = np.arange(lanes)
+    slots = np.arange(solved)
     first, outside, at, stacked = {}, {}, {}, {}
     for k, (lo, hi) in windows.items():
         first[k] = np.zeros_like(lo) if mirrored else lo
         outside[k] = (slots - lo[:, None]) % lanes > hi[:, None] - lo[:, None]
+        if mirrored:  # slot s also stands for slot L - s
+            outside[k] |= (-slots - lo[:, None]) % lanes > hi[:, None] - lo[:, None]
         kept = np.arange(max(int((hi - first[k]).max()) + 1, 0))
         at[k] = (first[k][:, None] + kept) % lanes  # slot of exponent first[n] + s
         stacked[k] = np.empty((order + 1, len(kept), len(primes) + 1), dtype=np.int32)
-    block = max(1, _BLOCK_COLUMNS // lanes)
+    block = max(1, _BLOCK_COLUMNS // solved)
     for start in range(0, len(primes) + 1, block):
         ps = (primes + [check])[start : start + block]
         ws = [_root_of_unity(p, lanes) for p in ps]
         values = _run_system(system, order, _Residues(ps, ws, lanes, solved))
         for i, (p, w) in enumerate(zip(ps, ws)):
-            mat = np.concatenate([values[k][:, i, mirror] for k in names])
-            rows = _intt_rows(mat, p, w)
+            mat = np.concatenate([values[k][:, i] for k in names])
+            rows = _inverse_dft(mat, p, w, lanes)
             for k, part in zip(names, np.split(rows, len(names))):
                 leaked = np.any(part, axis=1, where=outside[k])
                 if leaked.any():

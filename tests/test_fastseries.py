@@ -18,7 +18,7 @@ from cogrowth.systems import build_axa_system, build_star_system, group_series, 
 
 
 def test_trefoil_rows_match_star_system():
-    # at order 130 both paths need windows wider than 128 slots: 144 lanes
+    # at order 130 both paths lift windows of 131 slots: 132 lanes
     sol = solve_series(build_star_system(parse_group_spec("G(2,3)")), 130)
     fast = high_order_rows(trefoil_equation(), 130)
     assert fast.coeffs == sol.F.coeffs
@@ -58,8 +58,8 @@ def test_braid_q1_masses():
 
 
 def test_rows_agree_across_lane_sizes():
-    # trefoil 254 and braid 190 take 256 and 128 lanes, trefoil 256 and braid 192
-    # take 288 and 144, and trefoil 230 takes 243 (radix 3 only)
+    # trefoil 254, 256 and 230 take 256, 258 and 232 lanes; braid 190 and 192
+    # take 128 and 130; trefoil 260 takes 262
     trefoil, braid = trefoil_equation(), braid_equation()
     for eq, small, large in ((trefoil, 254, 256), (braid, 190, 192), (trefoil, 230, 260)):
         assert high_order_rows(eq, small).coeffs == high_order_rows(eq, large).coeffs[: small + 1]
@@ -115,7 +115,9 @@ def _narrow_windows(monkeypatch, low, high):
 
 def test_narrow_window_leaks(monkeypatch):
     _narrow_windows(monkeypatch, 1, 1)
-    for order in (40, 230):  # order 230 takes 243 lanes: radix 3 only
+    # narrowed to |e| < n/2: 40 and 230 lanes, and the one slot outside the
+    # window is L/2, the fold's unpaired lane
+    for order in (40, 230):
         with pytest.raises(ArithmeticError, match="leaked"):
             high_order_rows(trefoil_equation(), order)
 
@@ -126,21 +128,51 @@ def test_system_narrow_window_leaks(monkeypatch):
         solve_series(build_star_system(parse_group_spec("G(2,3)")), 20)
 
 
-@pytest.mark.parametrize("lanes", [2, 3, 4, 6, 9, 12, 27, 108, 243, 288])
+# not 2^a * 3^b: odd, even and prime lane counts
+_UNSMOOTH_LANES = [5, 7, 11, 101, 102, 262, 613]
+
+
+def _direct_inverse_dft(mat, p, w, lanes):
+    """Coefficients 0..L-1 by the O(L^2) sum (1/L) sum_t v_t w^(-tk) mod p."""
+    inverse = [pow(w, -t, p) for t in range(lanes)]
+    scale = pow(lanes, -1, p)
+    return [
+        [sum(int(v) * inverse[t * k % lanes] for t, v in enumerate(row)) * scale % p
+         for k in range(lanes)]
+        for row in mat
+    ]
+
+
+@pytest.mark.parametrize("lanes", [2, 3, 4, 6, 9, 12, 27, 108, 243, 288, 1] + _UNSMOOTH_LANES)
 def test_intt_rows_is_inverse_dft(lanes):
     p = fastseries._ntt_primes(1, lanes)[0]
     w = fastseries._root_of_unity(p, lanes)
     mat = np.random.default_rng(lanes).integers(0, p, (3, lanes))
-    inverse, scale = pow(w, -1, p), pow(lanes, -1, p)
-    direct = [
-        [sum(int(v) * pow(inverse, t * k, p) for t, v in enumerate(row)) * scale % p
-         for k in range(lanes)]
-        for row in mat
-    ]
-    assert fastseries._intt_rows(mat, p, w).tolist() == direct
+    assert fastseries._inverse_dft(mat, p, w, lanes).tolist() == _direct_inverse_dft(mat, p, w, lanes)
+    # folded: lanes 0..L//2 in, v_(L-t) = v_t implied; coefficients 0..L//2 out
+    half = mat[:, : lanes // 2 + 1]
+    full = np.concatenate([half, half[:, 1 : (lanes + 1) // 2][:, ::-1]], axis=1)
+    direct = _direct_inverse_dft(full, p, w, lanes)
+    assert all(row[1:] == row[:0:-1] for row in direct)  # mirrored coefficients
+    folded = fastseries._inverse_dft(half, p, w, lanes).tolist()
+    assert folded == [row[: lanes // 2 + 1] for row in direct]
 
 
-@pytest.mark.parametrize("lanes", [2, 3, 4, 6, 9, 12, 27, 108, 243, 288, 729, 1024])
+def test_folded_inverse_dft_exact_at_largest_residues():
+    # the widest windows of the built-in presentations (trefoil, G(2,3),
+    # G(2,2,2)) are n + 1 slots at order n, so a run below the order cap
+    # takes at most 2^11 + 1 lanes; every value p - 1 = -1 puts the largest
+    # residue in every product, and its transform is -1 at k = 0
+    lanes = fastseries._MAX_UNREDUCED + 1
+    p = fastseries._ntt_primes(1, lanes)[0]
+    w = fastseries._root_of_unity(p, lanes)
+    mat = np.full((3, lanes // 2 + 1), p - 1, dtype=np.int64)
+    expected = np.zeros_like(mat)
+    expected[:, 0] = p - 1
+    assert np.array_equal(fastseries._inverse_dft(mat, p, w, lanes), expected)
+
+
+@pytest.mark.parametrize("lanes", [2, 3, 4, 6, 9, 12, 27, 108, 243, 288, 729, 1024] + _UNSMOOTH_LANES)
 def test_root_of_unity_has_order_lanes(lanes):
     for p in fastseries._ntt_primes(1 << 60, lanes):
         w = fastseries._root_of_unity(p, lanes)
@@ -148,22 +180,45 @@ def test_root_of_unity_has_order_lanes(lanes):
         assert all(pow(w, d, p) != 1 for d in range(1, lanes) if lanes % d == 0)
 
 
-def test_lane_count_is_smallest_3_smooth_above_width():
-    smooth = sorted(2**a * 3**b for a in range(13) for b in range(8))
-    for width in range(1, 2101):
-        assert fastseries._lane_count(width) == next(s for s in smooth if s > width)
+def test_lanes_are_widest_window_plus_one(monkeypatch):
+    # trefoil rows at order n span exponents -n/2..n/2: n + 1 slots
+    seen = []
+    inverse_dft = fastseries._inverse_dft
+
+    def recorded(mat, p, w, lanes):
+        seen.append((lanes, mat.shape[1]))
+        return inverse_dft(mat, p, w, lanes)
+
+    monkeypatch.setattr(fastseries, "_inverse_dft", recorded)
+    for order, lanes in ((40, 42), (41, 42), (260, 262)):
+        seen.clear()
+        high_order_rows(trefoil_equation(), order)
+        assert set(seen) == {(lanes, lanes // 2 + 1)}
+
+
+def test_lanes_past_float_bound_rejected(monkeypatch):
+    # widened to 2^14 - 1 slots: L = 2^14 fails before any solve or matrix
+    _narrow_windows(monkeypatch, -8186, -8186)
+
+    def unreachable(*args):
+        raise AssertionError("solved or transformed past the float bound")
+
+    monkeypatch.setattr(fastseries, "_Residues", unreachable)
+    monkeypatch.setattr(fastseries, "_inverse_dft", unreachable)
+    with pytest.raises(ValueError, match="16384 lanes"):
+        high_order_rows(trefoil_equation(), 10)
 
 
 def test_only_read_series_are_transformed(monkeypatch):
     # G(2,3) has 5 unknowns; its U_i and P_i are solved on the lanes but not lifted
     transformed = []
-    intt_rows = fastseries._intt_rows
+    inverse_dft = fastseries._inverse_dft
 
-    def counted(mat, p, w):
+    def counted(mat, p, w, lanes):
         transformed.append(len(mat))
-        return intt_rows(mat, p, w)
+        return inverse_dft(mat, p, w, lanes)
 
-    monkeypatch.setattr(fastseries, "_intt_rows", counted)
+    monkeypatch.setattr(fastseries, "_inverse_dft", counted)
     solve_series(build_star_system(parse_group_spec("G(2,3)")), 20)
     assert transformed and set(transformed) == {6 * 21}
     transformed.clear()
