@@ -29,8 +29,8 @@ def main():
     center = [rows.coeffs[n].coeff(0) for n in range(N + 1)]
     masses = [p.eval_at_one() for p in rows.coeffs]
 
-    v0 = expected_returns(center, 2)
-    v1 = expected_returns(masses, 2)
+    v0 = expected_returns(center)
+    v1 = expected_returns(masses)
     print(f"\n{'n':>6s} {'v_n (winding 0)':>16s} {'v_n (q=1)':>12s}")
     for n in range(N // 6, N + 1, N // 6):
         print(f"{n:6d} {v0[n]:16.4f} {v1[n]:12.4f}")

@@ -322,7 +322,7 @@ def _primes_below(start: int, count: int) -> list[int]:
     return out
 
 
-_FILTER_PRIMES = _primes_below(1 << 26, 2)
+(_FILTER_PRIME,) = _primes_below(1 << 26, 1)
 # terms guess_recurrence needs beyond the largest shape's unknown count
 _GUESS_MARGIN = 50
 
@@ -416,7 +416,7 @@ def _rational_reconstruct(u: int, m: int) -> tuple[int, int] | None:
 
 
 def _prefix_ranks(seq, order: int, degree: int) -> list[int]:
-    """Ranks modulo _FILTER_PRIMES[0] of the (order, d) fitting matrices, d <= degree.
+    """Ranks modulo _FILTER_PRIME of the (order, d) fitting matrices, d <= degree.
 
     One elimination of the (order, degree) fitting matrix with its columns
     taken degree-major, (d, j), and its own rows: the first (order+1)(d+1)
@@ -426,7 +426,7 @@ def _prefix_ranks(seq, order: int, degree: int) -> list[int]:
     """
     cols = (order + 1) * (degree + 1)
     rows = min(len(seq) - order, cols + 32)
-    p = _FILTER_PRIMES[0]
+    p = _FILTER_PRIME
     M = _matrix_mod(seq, order, degree, rows, p)
     M = M.reshape(rows, order + 1, degree + 1).transpose(0, 2, 1).reshape(rows, cols)
     _, pivots = _nullvector_numpy(M, p)
@@ -444,7 +444,7 @@ def guess_recurrence(seq, max_order: int, max_degree: int) -> Recurrence | None:
 
     Before a shape is eliminated on its own it passes a per-order prefilter:
     _prefix_ranks gives, from one elimination of a larger fitting matrix of
-    the same order, the rank modulo _FILTER_PRIMES[0] of every degree up to
+    the same order, the rank modulo _FILTER_PRIME of every degree up to
     that matrix's top degree, and a shape whose columns have full rank there
     is skipped.  An order's profile is built when its first shape comes up
     and rebuilt with twice as many degrees (up to max_degree and to what the
@@ -456,9 +456,8 @@ def guess_recurrence(seq, max_order: int, max_degree: int) -> Recurrence | None:
     cannot have full rank.  The profile has at least the shape's own rows,
     and adding rows never lowers a rank, so it only drops shapes whose
     modular nullvectors do not hold over the larger row set; every other
-    shape takes the per-shape path (both filter primes, _reconstruct and
-    verify_recurrence) exactly as without the prefilter, and the result is
-    the same.
+    shape takes the per-shape path (_reconstruct and verify_recurrence)
+    exactly as without the prefilter, and the result is the same.
     """
     seq = [int(s) for s in seq]
     need = (max_order + 1) * (max_degree + 1) + _GUESS_MARGIN
@@ -481,42 +480,34 @@ def guess_recurrence(seq, max_order: int, max_degree: int) -> Recurrence | None:
         if ranks[d] == cells:
             continue
         rows = min(len(seq) - r, cells + 32)
-        images = {}
-        for p in _FILTER_PRIMES:
-            vec, pivots = _nullvector_numpy(_matrix_mod(seq, r, d, rows, p), p)
-            if vec is None:
-                break
-            images[p] = vec, pivots
-        else:
-            rec = _reconstruct(seq, r, d, rows, images)
-            if rec is not None and verify_recurrence(rec, seq):
-                return rec
+        rec = _reconstruct(seq, r, d, rows)
+        if rec is not None and verify_recurrence(rec, seq):
+            return rec
     return None
 
 
-def _reconstruct(seq, order, degree, rows, images) -> Recurrence | None:
+def _reconstruct(seq, order, degree, rows) -> Recurrence | None:
     """Lift the modular nullvector of the (order, degree) fitting matrix to Q.
 
     Primes below 2^26 are added one at a time until the CRT image, rationally
-    reconstructed, annihilates every fitting row exactly; images maps a prime
-    to the (nullvector, pivots) an earlier elimination found modulo it, which
-    the lift uses instead of eliminating again.  Modulo p the rank of each
-    leading block of columns can only drop, so the true rank profile has the
-    most pivots and, among equals, the earliest ones; a prime with a better
-    profile than the best seen restarts the accumulation, and one with a
-    worse profile is skipped.  No cap on the primes is needed: once the
-    modulus exceeds twice the square of the Hadamard bound, every numerator
-    and denominator fits the reconstruction window, so a failure there proves
-    that the matrix has no rational nullvector.
+    reconstructed, annihilates every fitting row exactly.  The first prime
+    modulo which the matrix has full rank ends the lift with None: full rank
+    there implies full rank over Q.  A lift that annihilates every row proves
+    the matrix rank-deficient over Q, and so modulo every prime, so returning
+    it early skips no prime that would have ended the lift.  Modulo p the
+    rank of each leading block of columns can only drop, so the true rank
+    profile has the most pivots and, among equals, the earliest ones; a prime
+    with a better profile than the best seen restarts the accumulation, and
+    one with a worse profile is skipped.  No cap on the primes is needed: once
+    the modulus exceeds twice the square of the Hadamard bound, every
+    numerator and denominator fits the reconstruction window, so a failure
+    there proves that the matrix has no rational nullvector.
     """
     best: tuple[int, list[int]] | None = None
     prime = 1 << 26
     while True:
         (prime,) = _primes_below(prime, 1)
-        if prime in images:
-            vec, pivots = images[prime]
-        else:
-            vec, pivots = _nullvector_numpy(_matrix_mod(seq, order, degree, rows, prime), prime)
+        vec, pivots = _nullvector_numpy(_matrix_mod(seq, order, degree, rows, prime), prime)
         if vec is None:
             return None  # full rank modulo p implies full rank over Q
         profile = (-len(pivots), pivots)

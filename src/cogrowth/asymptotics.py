@@ -465,12 +465,12 @@ def gaussian_profile_check(row: QPolynomial, sigma2: float, n: int) -> float:
     return worst
 
 
-def expected_returns(f: list[int], k: int) -> list[float]:
+def expected_returns(f: list[int]) -> list[float]:
     """Expected visits to the origin of an n-step closed walk, per n.
 
-    v_n = sum_i P(i) P(n-i) / P(n) with P(n) = f_n / (2k)^n; the (2k) powers
-    cancel, so only the integer convolution matters.  Indices with f_n = 0
-    report 0.
+    v_n = sum_i P(i) P(n-i) / P(n) with P(n) = f_n / (2k)^n for k generators;
+    the (2k) powers cancel, so only the integer convolution matters.  Indices
+    with f_n = 0 report 0.
     """
     out = []
     for n in range(len(f)):

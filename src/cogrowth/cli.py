@@ -58,6 +58,11 @@ def _write_csv(path: str, rows) -> None:
             fh.write(f"{n},{m},{v}\n")
 
 
+def _cells(series):
+    """(n, m, f_{n,m}) for every nonzero coefficient, by n and then m."""
+    return ((n, m, v) for n, p in enumerate(series.coeffs) for m, v in p.pairs())
+
+
 def cmd_series(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.group)
     series = group_series(spec, args.order, args.unknown)
@@ -73,7 +78,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         doc["rows"] = series.rows_json()
         _dump(doc, args.out)
-        cells = ((n, m, v) for n, p in enumerate(series.coeffs) for m, v in p.pairs())
+        cells = _cells(series)
     if args.csv:
         _write_csv(args.csv, cells)
     return 0
@@ -82,13 +87,14 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.group)
     if args.facet is None:
-        table = count_closed_walks(spec, args.order, max_len_cap=args.order)
+        rows = count_closed_walks(spec, args.order)
     else:
-        table = count_one_sided_walks(spec, args.facet, args.order, max_len_cap=args.order)
-    counts = table.rows_json()
+        rows = count_one_sided_walks(spec, args.facet, args.order)
+    # decimal strings: counts outgrow 53-bit floats quickly
+    counts = [{"n": n, "m": m, "f": str(f)} for n, m, f in _cells(rows)]
     _dump({"group": args.group, "counts": counts}, args.out)
     if args.csv:
-        _write_csv(args.csv, ((c["n"], c["m"], c["f"]) for c in counts))
+        _write_csv(args.csv, _cells(rows))
     return 0
 
 
@@ -129,7 +135,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     except ValueError:
         alpha = amplitude = None
     masses = [p.eval_at_one() for p in series.coeffs]
-    returns = expected_returns(masses, spec.generator_count)
+    returns = expected_returns(masses)
     var = variance_sequence(series.coeffs)
     top = max((n for n, m in enumerate(masses) if n and m), default=0)
     doc = {

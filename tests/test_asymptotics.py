@@ -246,7 +246,7 @@ class TestProfileAndReturns:
 
     def test_expected_returns_examples(self):
         masses = [c.eval_at_one() for c in solve_series(star("G(2,3)"), 12).F.coeffs]
-        v = expected_returns(masses, 2)
+        v = expected_returns(masses)
         assert v[0] == 1.0
         assert v[1] == 0.0  # odd orders have no closed walks here
         assert v[2] == 2.0

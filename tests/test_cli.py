@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -68,6 +69,33 @@ def test_oracle_facet_matches_one_sided_series(tmp_path):
         for m, v in row["q"]
     }
     assert counts == from_rows
+
+
+# sha256 of the JSON and CSV files of `cogrowth oracle --max-len 8`: the
+# output format is pinned byte for byte
+ORACLE_DIGESTS = [
+    (["--group", "G(2,3)"],
+     "b78df49e4f176d4940b4294352366802286d337566005fd9a7281e378d047fdd",
+     "2af6960cec483318683987dbb4595ce733580212d55a3c2aee18b7521ba4773f"),
+    (["--group", "G(2,3)", "--facet", "1"],
+     "9de819ecb33851b5f75bc096c1bcc5005697d2e06366cc314a10b0f5c34a252a",
+     "86639c6de0e51109a0ec3bd074b63575c2087fb579696ba43797e3912261f2d2"),
+    (["--group", "B3-standard"],
+     "808791ed8c4c7cce3a6860f0b52daa84df1fa34b3fa9cb6b17f392da1c477482",
+     "69c10ecbbab7088d63db9d50d348b74624a9f85d09da7985b001a7aaa11c0429"),
+    (["--group", "B3-axa"],
+     "d8e64dbe1c6a141c5c6bf1fe3f82a8de3a20fd26f0b2d210ba664bb19a4c70f8",
+     "c0dca9319915c60b293470896326e55b38b1948bdb85df95774b72673a633444"),
+]
+
+
+@pytest.mark.parametrize("args, json_sha, csv_sha", ORACLE_DIGESTS,
+                         ids=[" ".join(a[1:]) for a, _, _ in ORACLE_DIGESTS])
+def test_oracle_file_bytes(tmp_path, args, json_sha, csv_sha):
+    out, csv = tmp_path / "o.json", tmp_path / "o.csv"
+    assert main(["oracle", *args, "--max-len", "8", "--out", str(out), "--csv", str(csv)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
 
 
 def test_csv_emission(tmp_path):

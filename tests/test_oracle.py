@@ -12,6 +12,7 @@ from cogrowth.groups import (
     parse_group_spec,
 )
 from cogrowth.oracle import StateCapExceeded, count_closed_walks, count_one_sided_walks
+from cogrowth.qseries import QZSeries
 
 G22 = GroupSpec(STAR_POLYGON, (2, 2))
 G23 = GroupSpec(STAR_POLYGON, (2, 3))
@@ -36,26 +37,26 @@ class TestClosedWalks:
     def test_empty_walk(self):
         for text in ["G(2,2)", "G(3,4)", "B3-standard", "B3-axa"]:
             table = count_closed_walks(parse_group_spec(text), 0)
-            assert table.row(0) == {0: 1}
+            assert dict(table.coeffs[0].pairs()) == {0: 1}
 
     def test_g22_length_two(self):
         table = count_closed_walks(G22, 2)
-        assert table.row(2) == {0: 4, 1: 2, -1: 2}
+        assert dict(table.coeffs[2].pairs()) == {0: 4, 1: 2, -1: 2}
 
     def test_g23_length_two(self):
         table = count_closed_walks(G23, 2)
-        assert table.row(2) == {0: 4, 1: 1, -1: 1}
+        assert dict(table.coeffs[2].pairs()) == {0: 4, 1: 1, -1: 1}
 
     def test_g22_binomial_square(self):
         # j=0 column of G(2,2) counts pairs of matched lattice steps
         table = count_closed_walks(G22, 4)
-        assert table.at(4, 0) == 36
+        assert table.coeff(4, 0) == 36
 
     def test_braid_small(self):
         table = count_closed_walks(parse_group_spec("B3-standard"), 4)
-        assert table.row(1) == {}
-        assert table.row(2) == {0: 4}
-        assert table.row(3) == {1: 2, -1: 2}
+        assert dict(table.coeffs[1].pairs()) == {}
+        assert dict(table.coeffs[2].pairs()) == {0: 4}
+        assert dict(table.coeffs[3].pairs()) == {1: 2, -1: 2}
 
     def test_row_symmetry_and_bounds(self):
         for text in ["G(2,2)", "G(2,3)", "G(3,4)", "G(2,2,2)", "B3-standard", "B3-axa"]:
@@ -63,7 +64,7 @@ class TestClosedWalks:
             table = count_closed_walks(spec, 6)
             k = spec.generator_count
             for n in range(7):
-                row = table.row(n)
+                row = dict(table.coeffs[n].pairs())
                 assert sum(row.values()) <= (2 * k) ** n
                 for m, f in row.items():
                     assert abs(m) <= n
@@ -71,17 +72,14 @@ class TestClosedWalks:
 
     def test_parity_all_even(self):
         table = count_closed_walks(G22, 5)
-        assert table.row(1) == {} and table.row(3) == {} and table.row(5) == {}
+        for n in (1, 3, 5):
+            assert dict(table.coeffs[n].pairs()) == {}
 
     def test_parity_all_odd(self):
         table = count_closed_walks(GroupSpec(STAR_POLYGON, (3, 3)), 7)
         for n in range(8):
-            for m in table.row(n):
+            for m in dict(table.coeffs[n].pairs()):
                 assert (n - m) % 2 == 0
-
-    def test_length_cap(self):
-        with pytest.raises(ValueError):
-            count_closed_walks(G22, 15)
 
     def test_state_cap(self):
         with pytest.raises(StateCapExceeded):
@@ -93,19 +91,19 @@ class TestClosedWalks:
     )
     def test_matches_word_enumeration(self, text, length):
         spec = parse_group_spec(text)
-        table = count_closed_walks(spec, length)
-        assert {k: f for k, f in table.counts.items() if f} == enumerate_words(spec, length)
+        want = QZSeries.from_counts(enumerate_words(spec, length), length)
+        assert count_closed_walks(spec, length) == want
 
 
 class TestOneSidedWalks:
     def test_empty_walk(self):
         table = count_one_sided_walks(G34, 1, 0)
-        assert table.row(0) == {0: 1}
+        assert dict(table.coeffs[0].pairs()) == {0: 1}
 
     def test_g34_facet1(self):
         table = count_one_sided_walks(G34, 1, 3)
-        assert table.row(2) == {0: 2}
-        assert table.row(3) == {1: 1, -1: 1}
+        assert dict(table.coeffs[2].pairs()) == {0: 2}
+        assert dict(table.coeffs[3].pairs()) == {1: 1, -1: 1}
 
     def test_facet_errors(self):
         with pytest.raises(ValueError):
@@ -116,11 +114,11 @@ class TestOneSidedWalks:
     def test_dominated_by_closed(self):
         closed = count_closed_walks(G23, 8)
         sided = count_one_sided_walks(G23, 2, 8)
-        for (n, m), f in sided.counts.items():
-            assert f <= closed.at(n, m)
+        for n, row in enumerate(sided.coeffs):
+            for m, f in row.pairs():
+                assert f <= closed.coeff(n, m)
 
     @pytest.mark.parametrize("facet", [1, 2])
     def test_matches_word_enumeration(self, facet):
-        table = count_one_sided_walks(G34, facet, 7)
-        want = enumerate_words(G34, 7, lambda nf: one_sided_allowed(G34, nf, facet))
-        assert {k: f for k, f in table.counts.items() if f} == want
+        words = enumerate_words(G34, 7, lambda nf: one_sided_allowed(G34, nf, facet))
+        assert count_one_sided_walks(G34, facet, 7) == QZSeries.from_counts(words, 7)
