@@ -2,13 +2,13 @@
 
 Everything here is plain float64 numerics layered over the polynomial
 equation systems.  The dominant singularity z_c(q) is the branch point where
-the system Jacobian loses invertibility: bisection brackets it, and Newton
-on the regular augmented system (Y = Phi, (I - Phi_Y) v = 0, sum(v) = 1)
-polishes it with an analytic Jacobian.  A single polynomial equation
-P(F, z, q) = 0 is bracketed by root continuation and then handled as its
-lowered system F = 1 + z*H (fastseries.equation_system), so both routes
-share that Newton, report every unknown in Y_c and the same residuals, and
-share the moment code.  The drift and variance of the winding of a long
+the system Jacobian loses invertibility: a Newton continuation in z along the
+branch through Y(0) brackets it, and Newton on the regular augmented system
+(Y = Phi, (I - Phi_Y) v = 0, sum(v) = 1) polishes it with an analytic
+Jacobian.  A single polynomial equation P(F, z, q) = 0 runs as its lowered
+system F = 1 + z*H (fastseries.equation_system), so both kinds of input take
+the one route, report every unknown in Y_c and the same residuals, and share
+the moment code.  The drift and variance of the winding of a long
 closed walk come from z_c'(1) and z_c''(1), which implicit differentiation
 of that system at q = 1 gives exactly: the right-hand sides come from
 evaluating it over jets in R[eps]/(eps^3).  The rest fits or
@@ -28,7 +28,6 @@ from .fastseries import EquationSystem, equation_system
 from .qseries import QPolynomial
 
 LN2 = math.log(2.0)
-_VALUE_ITERATIONS = 5000  # _value_iterate gives up after this many steps
 
 
 def log_int(x: int) -> float:
@@ -52,19 +51,6 @@ class LimitLaw:
     mu: float
     lam: float
     sigma2: float
-
-
-def _phi(system: EquationSystem, z: float, Y: dict[str, float], q: float) -> dict[str, float]:
-    out = {}
-    for u in system.unknowns:
-        acc = 0.0
-        for t in system.equations[u]:
-            v = t.coeff * z**t.z_pow * q**t.q_pow
-            for f in t.factors:
-                v *= Y[f]
-            acc += v
-        out[u] = acc
-    return out
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,65 +179,99 @@ def _with_null_vector(tab: _Terms, z: float, Y: list[float], q: float) -> np.nda
     return x
 
 
-def _value_iterate(system: EquationSystem, z: float, q: float) -> dict[str, float] | None:
-    """Fixed point of Y <- Phi from Y = 0, or None when it blows up."""
-    Y = {u: 0.0 for u in system.unknowns}
-    for _ in range(_VALUE_ITERATIONS):
-        nxt = _phi(system, z, Y, q)
-        delta = 0.0
-        big = 0.0
-        for u, v in nxt.items():
-            if not math.isfinite(v) or abs(v) > 1e12:
-                return None
-            delta = max(delta, abs(v - Y[u]))
-            big = max(big, abs(v))
-        Y = nxt
-        if delta <= 1e-14 * (1.0 + big):
-            return Y
+def _fixed_point(tab: _Terms, z: float, Y: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Y - Phi and its Jacobian (-Phi_z, I - Phi_Y) in (z, Y)."""
+    n = tab.n
+    Y1 = np.append(Y, 1.0)
+    w = tab.coeff * q**tab.q_pow * z**tab.z_pow
+    g = Y - np.bincount(tab.rows, w * Y1[tab.f1] * Y1[tab.f2], n)
+    x = np.concatenate([[z], Y, np.zeros(n)])
+    return g, _augmented_jacobian(tab, x, q)[:n, : n + 1]
+
+
+def _corrected(
+    tab: _Terms, z: float, Y: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(Y, Jacobian) with Y = Phi at this z, by at most 6 Newton steps from Y.
+
+    Returns None when the steps do not bring max |Y - Phi| to 1e-12 (1 + max |Y|).
+    """
+    g, J = _fixed_point(tab, z, Y, q)
+    for _ in range(6):
+        try:
+            Y = Y + np.linalg.solve(J[:, 1:], -g)
+        except np.linalg.LinAlgError:
+            return None
+        g, J = _fixed_point(tab, z, Y, q)
+        if not np.all(np.isfinite(g)):
+            return None
+        if np.max(np.abs(g)) <= 1e-12 * (1.0 + np.max(np.abs(Y))):
+            return Y, J
     return None
 
 
-def _polish(system: EquationSystem, z: float, Y: dict[str, float], q: float) -> CriticalPoint:
+def _branch_bracket(tab: _Terms, q: float) -> tuple[float, np.ndarray]:
+    """A point (z, Y) on the branch through Y(0), just below its fold z_c.
+
+    Newton continuation in z: the tangent dY/dz = (I - Phi_Y)^-1 Phi_z
+    predicts, _corrected corrects, and a step of h is taken only when the
+    corrector converges with det(I - Phi_Y) > 0; h then doubles, and
+    otherwise it is divided by 4.  det^2 falls about linearly to 0 at the
+    fold, so the last two accepted points predict the gap to z_c: h is held
+    to half of it, and the walk stops once it is below 1e-3 z.  Raises when
+    z reaches 0.6 with det > 0 or when h underflows.
+    """
+    start = _corrected(tab, 0.0, np.zeros(tab.n), q)
+    if start is None:
+        raise RuntimeError(f"no fixed point at z = 0, q = {q}")
+    z, (Y, J) = 0.0, start
+    h, prev = 0.01, None
+    while True:
+        det2 = np.linalg.det(J[:, 1:]) ** 2
+        if prev is not None and prev[1] > det2:
+            gap = det2 * (z - prev[0]) / (prev[1] - det2)
+            if gap < 1e-3 * z:
+                return z, Y
+            h = min(h, gap / 2)
+        if z >= 0.6:
+            raise RuntimeError(f"no branch point found below z = 0.6 at q = {q}")
+        tangent = np.linalg.solve(J[:, 1:], -J[:, 0])
+        while True:
+            step = min(h, 0.6 - z)
+            if z + step == z:
+                raise RuntimeError(f"branch continuation stalled at z = {z!r}, q = {q}")
+            new = _corrected(tab, z + step, Y + step * tangent, q)
+            if new is not None and np.linalg.det(new[1][:, 1:]) > 0:
+                break
+            h /= 4
+        prev, z, (Y, J), h = (z, det2), z + step, new, 2 * h
+
+
+def _polish(tab: _Terms, names: list[str], z: float, Y: np.ndarray, q: float) -> CriticalPoint:
     """Newton from (z, Y) to the branch point on the augmented system.
 
     The unknowns are (z, Y, v): Y = Phi, (I - Phi_Y) v = 0 and sum(v) = 1,
     with v started from a bordered solve (_with_null_vector).  The Jacobian
-    is analytic and steps are damped until the residual falls.  The
-    residuals max |Y - Phi| and |det(I - Phi_Y)| must both end at or below
-    1e-12, and z and every Y must end positive.
+    is analytic and every step is a full one, at most 30 of them: damping
+    shrinks the basin.  The residuals max |Y - Phi| and |det(I - Phi_Y)| must
+    both end at or below 1e-12, and z and every Y must end positive.
     """
-    names = system.unknowns
-    n = len(names)
-    tab = _terms(system)
-    x = _with_null_vector(tab, z, [Y[u] for u in names], q)
+    n = tab.n
+    x = _with_null_vector(tab, z, Y, q)
     q_jet = np.array([q])
-
-    def residual(vec):
-        return _augmented(tab, vec[:, None], q_jet)[:, 0]
-
-    g = residual(x)
-    for _ in range(80):
+    g = _augmented(tab, x[:, None], q_jet)[:, 0]
+    for _ in range(30):
         try:
-            step = np.linalg.solve(_augmented_jacobian(tab, x, q), -g)
+            x = x + np.linalg.solve(_augmented_jacobian(tab, x, q), -g)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular Newton step at z = {x[0]}, q = {q}") from exc
-        scale = 1.0
-        norm0 = np.max(np.abs(g))
-        for _ in range(25):
-            trial = x + scale * step
-            gt = residual(trial)
-            if np.max(np.abs(gt)) < norm0:
-                x, g = trial, gt
-                break
-            scale /= 2
-        else:
-            break
+        g = _augmented(tab, x[:, None], q_jet)[:, 0]
         if np.max(np.abs(g)) < 1e-13:
             break
     fixed = float(np.max(np.abs(g[:n])))
     A = _augmented_jacobian(tab, x, q)[:n, 1 : n + 1]
     det_res = float(abs(np.linalg.det(A)))
-    if fixed > 1e-12 or det_res > 1e-12:
+    if not (fixed <= 1e-12 and det_res <= 1e-12):  # a full step can leave NaN
         raise RuntimeError(
             f"Newton stalled at z = {x[0]!r}, q = {q}: residuals {fixed:g}, {det_res:g}"
         )
@@ -264,72 +284,21 @@ def _polish(system: EquationSystem, z: float, Y: dict[str, float], q: float) -> 
 def find_critical_point(system: EquationSystem, q: float) -> CriticalPoint:
     """Branch point z_c(q): Y = Phi(z_c, Y, q) with I - dPhi/dY singular.
 
-    Brackets z_c on (0, 0.6] by bisection until the bracket is at most 0.01
-    wide: z lies below z_c where the value iteration from Y = 0 converges.
-    _polish then starts at the bracket's midpoint with the lower end's Y.
+    _branch_bracket follows the branch through Y(0) up to just below its
+    fold, and _polish refines the augmented system from there.
     """
-    hi = 0.6
-    if _value_iterate(system, hi, q) is not None:
-        raise RuntimeError(f"no divergence bracket below z = 0.6 at q = {q}")
-    lo, Y_lo = 0.0, None
-    while hi - lo > 0.01:
-        mid = (lo + hi) / 2
-        Y = _value_iterate(system, mid, q)
-        if Y is None:
-            hi = mid
-        else:
-            lo, Y_lo = mid, Y
-    if Y_lo is None:
-        raise RuntimeError(f"value iteration already divergent at z = {hi}, q = {q}")
-    return _polish(system, (lo + hi) / 2, Y_lo, q)
-
-
-def _qval(poly: QPolynomial, q: float) -> float:
-    return sum(v * q**e for e, v in poly.pairs())
-
-
-def _roots_at(eq: PolynomialEquation, z: float, q: float) -> np.ndarray:
-    cs = []
-    for zpoly in eq.terms:
-        cs.append(sum(_qval(cq, q) * z**zp for zp, cq in zpoly))
-    return np.roots(cs[::-1])
+    tab = _terms(system)
+    return _polish(tab, system.unknowns, *_branch_bracket(tab, q), q)
 
 
 def algebraic_critical_point(eq: PolynomialEquation, q: float) -> CriticalPoint:
     """Branch point of the series root of P(F, z, q) = 0: P = P_F = 0.
 
-    Tracks the root branch through F(0) = 1 by nearest-root continuation and
-    brackets the z where that branch turns complex, which is where it collides
-    with its conjugate partner.  The root is then the unknown F of the lowered
-    system F = 1 + z*H (fastseries.equation_system): H = (F - 1)/z at the
-    bracket's lower end, every later unknown comes from its own equation, and
-    _polish refines that system's branch point.  So Y_c holds every lowered
-    unknown, F included, and residuals are (fixed point, determinant) as in
-    find_critical_point.
+    This is find_critical_point on eq's lowered system F = 1 + z*H
+    (fastseries.equation_system), so Y_c holds every lowered unknown, F
+    included.
     """
-    def nearest(z: float, guess: float) -> complex:
-        roots = _roots_at(eq, z, q)
-        return roots[np.argmin(np.abs(roots - guess))]
-
-    z_lo, F_lo = 0.0, 1.0
-    dz = 0.01
-    while z_lo < 0.6 and dz > 1e-11:
-        r = nearest(z_lo + dz, F_lo)
-        # a fold makes the branch walk off or go complex; refuse and shrink
-        if abs(r.imag) > 1e-9 * (1 + abs(r)) or abs(r - F_lo) > 0.15 * (1 + abs(F_lo)):
-            dz /= 2
-            continue
-        z_lo, F_lo = z_lo + dz, r.real
-        dz = min(0.01, dz * 1.25)
-    if dz > 1e-11:
-        raise RuntimeError(f"no branch point found below z = 0.6 at q = {q}")
-
-    system = equation_system(eq)
-    Y = dict.fromkeys(system.unknowns, 0.0)
-    Y["H"] = (F_lo - 1.0) / z_lo
-    for u in system.unknowns[1:]:
-        Y[u] = _phi(system, z_lo, Y, q)[u]
-    return _polish(system, z_lo, Y, q)
+    return find_critical_point(equation_system(eq), q)
 
 
 def _limit_law(system: EquationSystem, cp: CriticalPoint) -> LimitLaw:
@@ -382,10 +351,9 @@ def growth_and_moments(system: EquationSystem) -> LimitLaw:
 def algebraic_moments(eq: PolynomialEquation) -> LimitLaw:
     """growth_and_moments for a series defined by one polynomial equation.
 
-    The moments are those of eq's lowered system (fastseries.equation_system)
-    at the branch point algebraic_critical_point finds at q = 1.
+    The moments are those of eq's lowered system (fastseries.equation_system).
     """
-    return _limit_law(equation_system(eq), algebraic_critical_point(eq, 1.0))
+    return growth_and_moments(equation_system(eq))
 
 
 @dataclass(frozen=True)

@@ -242,9 +242,3 @@ def alphabet(spec: GroupSpec) -> list[SignedGenerator]:
         letters.append(SignedGenerator(i, 1))
         letters.append(SignedGenerator(i, -1))
     return letters
-
-
-def normal_form_to_json(spec: GroupSpec, nf: NormalForm) -> dict:
-    if spec.variant == BRAID_STANDARD:
-        return {"m": nf.delta_exp, "word": nf.word}
-    return {"m": nf.delta_exp, "suffix": [[i, e] for i, e in nf.suffix]}

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from cogrowth import asymptotics
@@ -24,6 +25,7 @@ from cogrowth.cli import (
     TREFOIL_GROWTH_POLY,
     TREFOIL_VARIANCE_POLY,
 )
+from cogrowth.fastseries import equation_system
 from cogrowth.groups import parse_group_spec
 from cogrowth.qseries import QPolynomial
 from cogrowth.systems import (
@@ -95,8 +97,11 @@ class TestCriticalPoints:
             fields = [cp.q, cp.z_c, *cp.Y_c.values(), *cp.residuals]
             assert all(type(v) is float for v in fields), fields
 
-    def test_system_and_cubic_routes_agree(self):
-        system, eq = star("G(2,3)"), trefoil_equation()
+    @pytest.mark.parametrize(
+        "spec, make_eq", [("G(2,3)", trefoil_equation), ("G(3,3)", braid_equation)]
+    )
+    def test_system_and_cubic_routes_agree(self, spec, make_eq):
+        system, eq = star(spec), make_eq()
         for q in [0.7 + 0.1 * j for j in range(8)]:
             a = find_critical_point(system, q)
             b = algebraic_critical_point(eq, q)
@@ -113,10 +118,34 @@ class TestCriticalPoints:
             assert all(type(v) is float for v in values), values
 
     def test_no_branch_point_reported(self):
-        # purely linear growth keeps the iteration convergent past the scan roof
+        # A = 1/(1 - z): det(I - Phi_Y) = 1 - z stays positive past the scan roof
         tame = EquationSystem(["A"], {"A": [Term(1, 0, 0), Term(1, 1, 0, ("A",))]})
         with pytest.raises(RuntimeError):
             find_critical_point(tame, 1.0)
+
+    def test_pole_not_reported_as_branch_point(self):
+        # A = 1/(1 - 2z) blows up at z = 1/2 with no fold, so there is no branch point
+        pole = EquationSystem(["A"], {"A": [Term(1, 0, 0), Term(2, 1, 0, ("A",))]})
+        with pytest.raises(RuntimeError):
+            find_critical_point(pole, 1.0)
+
+    def test_axa_q1_polish_steps(self, monkeypatch):
+        # the polish solves with the (2n + 1)-square augmented Jacobian, n = 5
+        # lowered unknowns; the bracket's solves are smaller
+        eq = axa_q1_equation()
+        size = 2 * len(equation_system(eq).unknowns) + 1
+        steps = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            if a.shape == (size, size):
+                steps.append(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        cp = algebraic_critical_point(eq, 1.0)
+        assert max(cp.residuals) <= 1e-12
+        assert 0 < len(steps) <= 20
 
 
 class TestMoments:

@@ -13,7 +13,6 @@ from cogrowth.groups import (
     apply_generator,
     delta_distance,
     evaluate_word,
-    normal_form_to_json,
     one_sided_allowed,
     parse_group_spec,
 )
@@ -154,17 +153,6 @@ class TestOneSided:
             one_sided_allowed(G34, IDENTITY, 3)
         with pytest.raises(ValueError):
             one_sided_allowed(BRAID, IDENTITY, 1)
-
-
-class TestSerialization:
-    def test_star(self):
-        assert normal_form_to_json(G34, NormalForm(-1, ((1, 2),))) == {
-            "m": -1,
-            "suffix": [[1, 2]],
-        }
-
-    def test_braid(self):
-        assert normal_form_to_json(BRAID, NormalForm(1, (), "b")) == {"m": 1, "word": "b"}
 
 
 @st.composite
