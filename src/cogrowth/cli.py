@@ -13,10 +13,8 @@ import re
 import sys
 
 # series_solve_polynomial is unused here; perfbench/worker.py traces it by this name
-from .algebraic import braid_equation, guess_recurrence, series_solve_polynomial
+from .algebraic import guess_recurrence, series_solve_polynomial
 from .asymptotics import (
-    algebraic_critical_point,
-    algebraic_moments,
     expected_returns,
     exponent_fit,
     find_critical_point,
@@ -35,11 +33,16 @@ BRAID_GROWTH_POLY = [-7, -2, 1]
 TREFOIL_VARIANCE_POLY = [-1, -60, 512, -904, 452]  # sigma^2 is its smallest positive root
 
 
-def nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("order must be >= 0")
-    return value
+def at_least(low: int, what: str):
+    """An argparse type: an integer >= low, else a usage error naming what."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}")
+        return value
+
+    return integer
 
 
 def _dump(doc, path: str | None) -> None:
@@ -98,14 +101,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _growth(spec: GroupSpec) -> float:
-    if spec.variant == BRAID_STANDARD:
-        return 1.0 / algebraic_critical_point(braid_equation(), 1.0).z_c
-    return 1.0 / find_critical_point(system_for(spec), 1.0).z_c
-
-
 def cmd_cogrowth(args: argparse.Namespace) -> int:
-    mu = _growth(parse_group_spec(args.group))
+    mu = 1.0 / find_critical_point(system_for(parse_group_spec(args.group)), 1.0).z_c
     print(f"{mu:.{args.digits}f}")
     return 0
 
@@ -124,10 +121,7 @@ def _growth_poly(spec: GroupSpec) -> list[int] | None:
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.group)
-    if spec.variant == BRAID_STANDARD:
-        law = algebraic_moments(braid_equation())
-    else:
-        law = growth_and_moments(system_for(spec))
+    law = growth_and_moments(system_for(spec))
     series = group_series(spec, args.order, None)
     center = [p.coeff(0) for p in series.coeffs]
     try:
@@ -218,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, order_flag="--order"):
         p.add_argument("--group", required=True)
-        p.add_argument(order_flag, dest="order", type=nonnegative, required=True)
+        p.add_argument(order_flag, dest="order", type=at_least(0, "order"), required=True)
         p.add_argument("--out")
 
     p = sub.add_parser("series", help="exact q-tracked series of a group")
@@ -234,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cogrowth", help="print the growth rate")
     p.add_argument("--group", required=True)
-    p.add_argument("--digits", type=int, default=8)
+    p.add_argument("--digits", type=at_least(0, "digits"), default=8)
 
     p = sub.add_parser(
         "asymptotics",
@@ -245,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("guess", help="fit a polynomial-coefficient recurrence")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-order", type=at_least(1, "max order"), required=True)
+    p.add_argument("--max-degree", type=at_least(0, "max degree"), required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the acceptance suite")

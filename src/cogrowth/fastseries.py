@@ -3,22 +3,24 @@
 The q-variable is evaluated at the L-th roots of unity modulo a stack of
 26-bit primes p = 1 (mod L).  One kernel, _run_system, expands an
 EquationSystem order by order on every (prime, lane) pair with numpy, and one
-routine, _lift, brings back the rows of the unknowns its caller names, and of
-no other: an inverse transform over the lanes, a check that no residue lies
-outside the winding window, and CRT with a signed lift, checked against one
-more prime.  Products of two residues stay below 2^52, so a sum of fewer
-than 2^11 of them (one power-series convolution at order < 2^11) fits an
-int64 unreduced.  The same kernel run on (interval, log2 mass) triples
-instead of residues gives each series a provable q-exponent window per order
-and a bound on its coefficients; L is the widest window that is lifted plus
-one, any integer, and the CRT bound is the largest mass lifted.  The inverse
-transform is one dense DFT matrix per prime, applied as two exact float64
-products (_inverse_dft).
-system_rows solves an EquationSystem on all lanes, since one-sided series are
-not symmetric.  high_order_rows solves one polynomial equation P(F) = 0 as the
-system F = 1 + z*H of its root with f0 = 1; its rows are q -> 1/q symmetric,
-so only lanes 0..L//2 are solved, the transform folds the mirrored lanes into
-its matrix, and its coefficients are bounded by the 4^n words of length n.
+entry, system_rows, brings back the rows of the unknowns its caller names,
+and of no other: an inverse transform over the lanes, a check that no
+residue lies outside the winding window, and CRT with a signed lift, checked
+against one more prime.  Products of two residues stay below 2^52, so a sum
+of fewer than 2^11 of them (one power-series convolution at order < 2^11)
+fits an int64 unreduced.  The same kernel run on (interval, log2 mass)
+triples instead of residues gives each series a provable q-exponent window
+per order and a bound on its coefficients; L is the widest window that is
+lifted plus one, any integer, and the CRT bound is the largest mass lifted,
+or the caller's bound if that is smaller.  The inverse transform is one
+dense DFT matrix per prime, applied as two exact float64 products
+(_inverse_dft).
+A system that q -> 1/q fixes (EquationSystem.symmetric) has symmetric rows,
+so only lanes 0..L//2 are solved and the transform folds the mirrored lanes
+into its matrix; one-sided series are not symmetric and take all L lanes.
+high_order_rows solves one polynomial equation P(F) = 0 as its lowered
+system F = 1 + z*H (equation_system), which is symmetric, and bounds its
+coefficients by the 4^n words of length n.
 """
 from __future__ import annotations
 
@@ -60,6 +62,24 @@ class EquationSystem:
     facet_roots: dict[int, str] = field(default_factory=dict)  # facet -> L0 name
     facet_primitives: dict[int, str] = field(default_factory=dict)  # facet -> P name
     main: str = ""  # unknown assembled into F, "" for star assembly
+
+    def grouped(self, u: str) -> dict[tuple[int, tuple[str, ...]], list]:
+        """u's terms that share z_pow and factors, as one group each: its
+        (coeff, q_pow) pairs, the terms of one q-Laurent coefficient."""
+        grouped: dict[tuple, list] = {}
+        for t in self.equations[u]:
+            grouped.setdefault((t.z_pow, tuple(sorted(t.factors))), []).append((t.coeff, t.q_pow))
+        return grouped
+
+    def symmetric(self) -> bool:
+        """Whether q -> 1/q fixes every equation: each group's coefficient is
+        symmetric under q -> 1/q.  Then it fixes the solution too, so every
+        unknown's rows are symmetric."""
+        return all(
+            QPolynomial.from_pairs([(e, c) for c, e in pairs]).is_symmetric()
+            for u in self.unknowns
+            for pairs in self.grouped(u).values()
+        )
 
     def guarded(self) -> set[str]:
         """Unknowns whose series provably has no constant term.
@@ -112,9 +132,9 @@ def equation_system(eq: PolynomialEquation) -> EquationSystem:
     H = sum -(A[zp, j] / d0) z^(zp+j-1) H^j over the other (zp, j), and every
     term with a factor carries z.  H^j enters as H * K_(j-1), with K_1 = H and
     auxiliaries K_m = z^(m-1) H^m = z * H * K_(m-1), so no term has more than
-    two factors.  Raises ValueError if some A[zp, j] is not symmetric under
-    q -> 1/q (the lanes are mirrored), if d0 is not a nonzero integer, or if
-    f0 = 1 is not a root.
+    two factors.  F is the system's main unknown.  Raises ValueError if some
+    A[zp, j] is not symmetric under q -> 1/q (so the system is symmetric()),
+    if d0 is not a nonzero integer, or if f0 = 1 is not a root.
     """
     A: dict[tuple[int, int], QPolynomial] = {}
     for k, zpoly in enumerate(eq.terms):
@@ -148,7 +168,7 @@ def equation_system(eq: PolynomialEquation) -> EquationSystem:
     for m in range(2, eq.degree):
         equations[power(m)] = [Term(1, 1, 0, ("H", power(m - 1)))]
     equations["F"] = [Term(1, 0, 0), Term(1, 1, 0, ("H",))]
-    return EquationSystem(list(equations), equations)
+    return EquationSystem(list(equations), equations, main="F")
 
 
 def _ntt_primes(bound: int, lanes: int) -> list[int]:
@@ -208,27 +228,31 @@ def _inverse_dft(mat: np.ndarray, p: int, w: int, lanes: int) -> np.ndarray:
     return ((high << 13) + low) % p
 
 
-def _lift(
-    system: EquationSystem, order: int, names: list[str], *, mirrored: bool, bound: int | None
-) -> dict:
-    """Exact rows 0..order of the named unknowns of system, from their lane values.
+def system_rows(
+    system: EquationSystem, order: int, names: list[str], bound: int | None = None
+) -> dict[str, QZSeries]:
+    """Exact rows 0..order of the named unknowns of system, and of no other.
 
     The bounds pass gives each named series' q-window per row; L is the
     widest window plus one, so every window leaves a slot outside it for the
-    leak check.  Every prime block runs _run_system on lanes 0..L-1, or on
-    lanes 0..L//2 when mirrored (q -> 1/q symmetric rows); blocks fill
-    _BLOCK_COLUMNS with solved lanes.  Only the named series are transformed
-    back (_inverse_dft, folded when mirrored), and mirrored rows keep and
-    lift exponents 0..hi only.  Unknowns that are not named may wrap around
-    the lanes: evaluation at a root of unity is a ring map, so the named
-    values stay exact.  The CRT takes |coefficients| < bound / 2, or, when
-    bound is None, the bounds pass's mass bound over the named series.
-    Raises ValueError for L >= _MAX_LANES, before the lane solve, and
+    leak check.  A system that q -> 1/q fixes (system.symmetric()) has
+    mirrored rows, v_(L-t) = v_t, and runs on lanes 0..L//2 only; any other
+    runs on lanes 0..L-1.  Every prime block runs _run_system on those
+    lanes, and blocks fill _BLOCK_COLUMNS with solved lanes.  Only the named
+    series are transformed back (_inverse_dft, folded when mirrored), and
+    mirrored rows keep and lift exponents 0..hi only.  Unknowns that are not
+    named may wrap around the lanes: evaluation at a root of unity is a ring
+    map, so the named values stay exact.  The CRT takes |coefficients| <
+    bound / 2, with bound the smaller of the caller's and the bounds pass's
+    mass bound over the named series.  Raises ValueError for L >=
+    _MAX_LANES, before the lane solve, what system.check_invariant raises
+    (RuntimeError for a coefficient read before it is computed), and
     ArithmeticError on a residue outside a window or a check-prime mismatch.
     """
     windows, mass = _bounds(system, order, names)
-    if bound is None:
-        bound = 1 << (ceil(mass) + 1)  # > 2 * |coefficient|
+    mass_bound = 1 << (ceil(mass) + 1)  # > 2 * |coefficient|
+    bound = mass_bound if bound is None else min(bound, mass_bound)
+    mirrored = system.symmetric()
     lanes = int(max((hi - lo).max() + 1 for lo, hi in windows.values())) + 1
     if lanes >= _MAX_LANES:
         raise ValueError(f"{lanes} lanes: the float64 transform is exact below {_MAX_LANES}")
@@ -364,9 +388,7 @@ def _run_system(system: EquationSystem, order: int, alg) -> dict:
     rows = {u: alg.rows(order) for u in system.unknowns}
     groups = {}
     for u in system.unknowns:
-        grouped: dict[tuple, list] = {}
-        for t in system.equations[u]:
-            grouped.setdefault((t.z_pow, tuple(sorted(t.factors))), []).append((t.coeff, t.q_pow))
+        grouped = system.grouped(u)
         groups[u] = list(grouped), alg.coefficients(list(grouped.values()))
     products = {}
     reach = max(t.z_pow for terms in system.equations.values() for t in terms)
@@ -421,24 +443,14 @@ def _bounds(system: EquationSystem, order: int, names: list[str]):
 def high_order_rows(eq: PolynomialEquation, order: int) -> QZSeries:
     """Exact coefficient rows of eq's counting-series root up to z^order.
 
-    The root with f0 = 1 is solved as the system F = 1 + z*H on lanes
-    0..L//2, mirrored, and only F is lifted; its coefficients are bounded by
-    the number of 4-letter words.  Raises ValueError if eq is not q -> 1/q
-    symmetric, its dP/dF at (z, F) = (0, 1) is not a nonzero integer or
-    f0 = 1 is not a root, and ArithmeticError from the lift's checks.
+    The root with f0 = 1 is the unknown F of eq's lowered system F = 1 + z*H
+    (equation_system), which q -> 1/q fixes, so system_rows solves lanes
+    0..L//2 only; F's coefficients are bounded by the number of 4-letter
+    words.  Raises ValueError if eq is not q -> 1/q symmetric, its dP/dF at
+    (z, F) = (0, 1) is not a nonzero integer or f0 = 1 is not a root, and
+    ArithmeticError from the lift's checks.
     """
-    system = equation_system(eq)
-    return _lift(system, order, ["F"], mirrored=True, bound=2 * 4**order)["F"]
-
-
-def system_rows(system: EquationSystem, order: int, read: list[str]) -> dict[str, QZSeries]:
-    """Exact rows up to z^order of the unknowns named in read, and of no other.
-
-    The CRT bound is the mass bound over the read series alone.  Raises what
-    system.check_invariant raises (RuntimeError for a coefficient read
-    before it is computed) and ArithmeticError from the lift's checks.
-    """
-    return _lift(system, order, read, mirrored=False, bound=None)
+    return system_rows(equation_system(eq), order, ["F"], 2 * 4**order)["F"]
 
 
 def series_at_q1(eq: PolynomialEquation, order: int) -> list[int]:

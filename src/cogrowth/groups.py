@@ -41,11 +41,6 @@ class GroupSpec:
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
-    def describe(self) -> str:
-        if self.variant == STAR_POLYGON:
-            return "G(" + ",".join(str(p) for p in self.periods) + ")"
-        return "B3-standard" if self.variant == BRAID_STANDARD else "B3-axa"
-
 
 @dataclass(frozen=True)
 class SignedGenerator:

@@ -67,9 +67,6 @@ class QPolynomial:
             (self.min_exp + j, c) for j, c in enumerate(self.coeffs) if c
         ]
 
-    def mass(self) -> int:
-        return sum(abs(c) for c in self.coeffs)
-
     def is_symmetric(self) -> bool:
         return self.coeffs == self.coeffs[::-1] and (
             self.is_zero() or self.min_exp == -self.max_exp
@@ -167,18 +164,6 @@ class QZSeries:
         s.coeffs[0] = QP_ONE
         return s
 
-    @staticmethod
-    def from_counts(counts: dict[tuple[int, int], int], order: int) -> "QZSeries":
-        """Assemble from a walk-count map (n, m) -> f."""
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (n, m), f in counts.items():
-            if n <= order:
-                rows.setdefault(n, []).append((m, f))
-        s = QZSeries(order)
-        for n, pairs in rows.items():
-            s.coeffs[n] = QPolynomial.from_pairs(pairs)
-        return s
-
     def coeff(self, n: int, m: int) -> int:
         return self.coeffs[n].coeff(m) if 0 <= n <= self.order else 0
 
@@ -209,11 +194,6 @@ def series_add(a: QZSeries, b: QZSeries) -> QZSeries:
     return QZSeries(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
-def series_sub(a: QZSeries, b: QZSeries) -> QZSeries:
-    _check_orders(a, b)
-    return QZSeries(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-
 def series_mul(a: QZSeries, b: QZSeries) -> QZSeries:
     _check_orders(a, b)
     out = QZSeries(a.order)
@@ -242,14 +222,6 @@ def series_reciprocal(a: QZSeries) -> QZSeries:
                 acc = acc + ai * out.coeffs[n - i]
         out.coeffs[n] = acc.scale(-unit)
     return out
-
-
-def q_constant_term(a: QZSeries) -> list[int]:
-    return [p.coeff(0) for p in a.coeffs]
-
-
-def q_evaluate_at_one(a: QZSeries) -> list[int]:
-    return [p.eval_at_one() for p in a.coeffs]
 
 
 def parity_transform(a: QZSeries, mode: str) -> QZSeries:

@@ -11,7 +11,9 @@ depend only on data already computed when equations are evaluated in order.
 solve_series hands the system to the lane engine (fastseries.system_rows),
 which solves it order by order modulo primes and lifts exact integer rows of
 the series its caller returns; SeriesSolution.residual_ok checks a solution
-by exact substitution.
+by exact substitution.  B3-standard's system is its eliminated cubic
+(algebraic.braid_equation) lowered to F = 1 + z*H (fastseries.equation_system),
+so every presentation has one system.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from math import comb
 
 from .algebraic import braid_equation
 # Term and EquationSystem live beside the kernel that interprets them
-from .fastseries import EquationSystem, Term, high_order_rows, system_rows
-from .groups import BRAID_AXA, BRAID_STANDARD, GroupSpec, STAR_POLYGON
+from .fastseries import EquationSystem, Term, equation_system, system_rows
+from .groups import BRAID_AXA, GroupSpec, STAR_POLYGON
 # series_reciprocal is unused here; perfbench/worker.py traces it by this name
 from .qseries import (
     QPolynomial,
@@ -44,16 +46,23 @@ class SeriesSolution:
     F: QZSeries
 
     def residual_ok(self) -> bool:
-        """Substitute the solution back into every equation, exactly."""
-        for u, terms in self.system.equations.items():
+        """Substitute the solution back into every equation, exactly.
+
+        Each product of factors is formed once, in integers, and each group
+        of terms sharing z_pow and factors multiplies it by its coefficient.
+        """
+        products: dict[tuple[str, ...], QZSeries] = {}
+        for u in self.system.unknowns:
             rhs = QZSeries(self.order)
-            for t in terms:
+            for (z_pow, factors), pairs in self.system.grouped(u).items():
+                if factors not in products:
+                    products[factors] = QZSeries.one(self.order)
+                    for f in factors:
+                        products[factors] = series_mul(products[factors], self.series[f])
                 part = QZSeries(self.order)
-                if t.z_pow <= self.order:
-                    part.coeffs[t.z_pow] = QPolynomial.q_power(t.q_pow, t.coeff)
-                for f in t.factors:
-                    part = series_mul(part, self.series[f])
-                rhs = series_add(rhs, part)
+                if z_pow <= self.order:
+                    part.coeffs[z_pow] = QPolynomial.from_pairs((e, c) for c, e in pairs)
+                rhs = series_add(rhs, series_mul(part, products[factors]))
             if rhs != self.series[u]:
                 return False
         return True
@@ -205,16 +214,13 @@ def solve_series(system: EquationSystem, order: int) -> SeriesSolution:
 
 
 def system_for(spec: GroupSpec) -> EquationSystem:
-    """The equation system of a star-polygon or B3-axa presentation.
-
-    B3-standard is solved through its eliminated cubic instead
-    (algebraic.braid_equation), so it has no system and raises ValueError.
-    """
+    """The equation system of a presentation: the star or axa system, or
+    B3-standard's lowered cubic F = 1 + z*H."""
     if spec.variant == STAR_POLYGON:
         return build_star_system(spec)
     if spec.variant == BRAID_AXA:
         return build_axa_system()
-    raise ValueError("B3-standard has no equation-system unknowns")
+    return equation_system(braid_equation())
 
 
 def solve_group(spec: GroupSpec, order: int) -> SeriesSolution:
@@ -224,21 +230,21 @@ def solve_group(spec: GroupSpec, order: int) -> SeriesSolution:
 def group_series(spec: GroupSpec, order: int, unknown: str | None) -> QZSeries:
     """Exact rows up to z^order of one series of a presentation: F, or the
     system unknown named by unknown ("L0:1" names L0_1).  Only that series
-    is lifted, and B3-standard's F comes from its cubic instead.
+    is lifted.  F counts words of length n, so its CRT bound is at most
+    2 * (2k)^n for k generators.
 
     Raises ValueError, before any solving, if unknown is not an unknown of
     the presentation's system.
     """
-    if spec.variant == BRAID_STANDARD and not unknown:
-        return high_order_rows(braid_equation(), order)
-    system = system_for(spec)
+    system, bound = system_for(spec), None
     if not unknown:
         system, name = _assembled(system)
+        bound = 2 * (2 * spec.generator_count) ** order
     else:
         name = unknown.replace(":", "_")
         if name not in system.unknowns:
             raise ValueError(f"unknown series {unknown!r}; have {sorted(system.unknowns)}")
-    return system_rows(system, order, [name])[name]
+    return system_rows(system, order, [name], bound)[name]
 
 
 def forget_winding(system: EquationSystem) -> EquationSystem:

@@ -25,12 +25,7 @@ from cogrowth.algebraic import (
 )
 from cogrowth.groups import parse_group_spec
 from cogrowth.oracle import count_closed_walks
-from cogrowth.qseries import (
-    QPolynomial,
-    QZSeries,
-    q_constant_term,
-    q_evaluate_at_one,
-)
+from cogrowth.qseries import QPolynomial, QZSeries
 from cogrowth.systems import solve_group
 
 
@@ -75,7 +70,7 @@ class TestSeriesSolve:
     def test_braid_center_matches_33_star(self):
         braid = series_solve_polynomial(braid_equation(), 1, 60)
         star = solve_group(parse_group_spec("G(3,3)"), 60)
-        assert q_constant_term(braid) == q_constant_term(star.F)
+        assert [p.coeff(0) for p in braid.coeffs] == [p.coeff(0) for p in star.F.coeffs]
 
     def test_wrong_root_rejected(self):
         with pytest.raises(ValueError):
@@ -101,7 +96,7 @@ class TestResiduals:
 
     def test_axa_q1_on_system_solution(self):
         sol = solve_group(parse_group_spec("B3-axa"), 40)
-        at_one = as_constant_series(q_evaluate_at_one(sol.F))
+        at_one = as_constant_series([p.eval_at_one() for p in sol.F.coeffs])
         assert residual_check(axa_q1_equation(), at_one, 40) == ResidualReport(True, None)
 
     def test_own_solution_always_passes(self):

@@ -35,6 +35,7 @@ from cogrowth.systems import (
     build_star_system,
     ktree_closed_form,
     solve_series,
+    system_for,
 )
 
 
@@ -196,14 +197,9 @@ class TestMoments:
     def test_derivatives_match_five_point_stencil(self, name):
         # z_c'(1) and z_c''(1) by central differences at h and h/2, each
         # point bracketed afresh at q != 1
-        if name == "B3-standard":
-            eq = braid_equation()
-            law = algebraic_moments(eq)
-            zc_of_q = functools.cache(lambda q: algebraic_critical_point(eq, q).z_c)
-        else:
-            system = build_axa_system() if name == "B3-axa" else star(name)
-            law = growth_and_moments(system)
-            zc_of_q = functools.cache(lambda q: find_critical_point(system, q).z_c)
+        system = system_for(parse_group_spec(name))
+        law = growth_and_moments(system)
+        zc_of_q = functools.cache(lambda q: find_critical_point(system, q).z_c)
         h = 1e-3
         lam_a, sig_a = five_point_moments(zc_of_q, h)
         lam_b, sig_b = five_point_moments(zc_of_q, h / 2)

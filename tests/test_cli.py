@@ -156,13 +156,21 @@ def test_guess_rejects_non_integer_input(tmp_path, capsys, doc, bad):
     assert err.startswith("error: ") and bad in err
 
 
-def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "bogus"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["series", "--order", "4"])
-    assert err.value.code == 2
+def test_usage_errors_exit_two(capsys):
+    guess = ["guess", "--in", "seq.json"]
+    for argv, message in [
+        (["verify", "--suite", "bogus"], "invalid choice"),
+        (["series", "--order", "4"], "--group"),
+        (["cogrowth", "--group", "G(2,3)", "--digits", "-1"], "digits must be >= 0"),
+        (["cogrowth", "--group", "G(2,3)", "--digits", "x"], "invalid integer value"),
+        (guess + ["--max-order", "0", "--max-degree", "2"], "max order must be >= 1"),
+        (guess + ["--max-order", "-1", "--max-degree", "2"], "max order must be >= 1"),
+        (guess + ["--max-order", "2", "--max-degree", "-1"], "max degree must be >= 0"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_bad_unknown_rejected_before_solving(capsys, monkeypatch):

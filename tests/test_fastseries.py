@@ -226,6 +226,24 @@ def test_only_read_series_are_transformed(monkeypatch):
     assert transformed and set(transformed) == {21}
 
 
+def test_group_series_solves_half_the_lanes_of_symmetric_systems(monkeypatch):
+    # B3-standard's lowered cubic is fixed by q -> 1/q, the G(2,3) system is not
+    seen = []
+    inverse_dft = fastseries._inverse_dft
+
+    def recorded(mat, p, w, lanes):
+        seen.append((lanes, mat.shape[1]))
+        return inverse_dft(mat, p, w, lanes)
+
+    monkeypatch.setattr(fastseries, "_inverse_dft", recorded)
+    for text, mirrored in (("B3-standard", True), ("G(2,3)", False)):
+        seen.clear()
+        group_series(parse_group_spec(text), 30, None)
+        assert len({lanes for lanes, _ in seen}) == 1, text
+        lanes = seen[0][0]
+        assert set(seen) == {(lanes, lanes // 2 + 1 if mirrored else lanes)}, text
+
+
 def _too_few_crt_primes(monkeypatch):
     primes = fastseries._ntt_primes
     monkeypatch.setattr(fastseries, "_ntt_primes", lambda bound, lanes: primes(1 << 30, lanes))

@@ -59,10 +59,6 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_group_spec("H(2,3)")
 
-    def test_roundtrip_describe(self):
-        for text in ["G(3,4)", "G(2,2,2)", "B3-standard", "B3-axa"]:
-            assert parse_group_spec(text).describe() == text
-
 
 class TestStarPolygonSteps:
     def test_close_polygon(self):

@@ -8,7 +8,6 @@ from cogrowth.qseries import (
     QZSeries,
     loop_basis,
     parity_transform,
-    q_constant_term,
     series_add,
     series_mul,
     series_reciprocal,
@@ -88,13 +87,10 @@ class TestSeriesOps:
         with pytest.raises(ValueError):
             series_reciprocal(zseries(2, (0, [(1, 1)])))
 
-    def test_q_constant_term_drops_pure_q(self):
-        assert q_constant_term(zseries(1, (1, [(1, 1)]))) == [0, 0]
-
     def test_q_constant_term_g22(self):
         # cross-checked against the walk oracle rather than any closed form
         table = count_closed_walks(GroupSpec(STAR_POLYGON, (2, 2)), 6)
-        assert q_constant_term(table) == [1, 0, 4, 0, 36, 0, 400]
+        assert [p.coeff(0) for p in table.coeffs] == [1, 0, 4, 0, 36, 0, 400]
 
 
 class TestParity:
@@ -128,7 +124,10 @@ class TestParity:
     def test_mass_preserved(self):
         b = zseries(3, (1, [(1, 2), (-1, 5)]), (3, [(3, 1), (-1, -4)]))
         out = parity_transform(b, "odd")
-        assert sum(p.mass() for p in out.coeffs) == sum(p.mass() for p in b.coeffs)
+        def mass(s):
+            return sum(abs(c) for p in s.coeffs for c in p.coeffs)
+
+        assert mass(out) == mass(b)
 
 
 class TestLoopBasis:

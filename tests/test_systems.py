@@ -1,21 +1,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogrowth.algebraic import braid_equation
-from cogrowth.fastseries import high_order_rows
+from cogrowth.algebraic import axa_q1_equation, braid_equation, trefoil_equation
+from cogrowth.fastseries import equation_system, high_order_rows
 from cogrowth.groups import GroupSpec, STAR_POLYGON, parse_group_spec
 from cogrowth.oracle import count_closed_walks, count_one_sided_walks
-from cogrowth.qseries import QPolynomial, QZSeries, q_constant_term
+from cogrowth.qseries import QPolynomial, QZSeries
 from cogrowth.systems import (
     EquationSystem,
     Term,
     build_axa_system,
     build_star_system,
     cone_positivity_check,
+    forget_winding,
     ktree_closed_form,
     l_name,
     solve_group,
     solve_series,
+    system_for,
 )
 
 
@@ -45,9 +47,22 @@ class TestBuildStar:
         with pytest.raises(ValueError):
             build_star_system(parse_group_spec("B3-standard"))
 
-    def test_solve_group_rejects_braid_standard(self):
-        with pytest.raises(ValueError, match="B3-standard"):
-            solve_group(parse_group_spec("B3-standard"), 6)
+    def test_solve_group_braid_standard_runs_its_lowered_cubic(self):
+        sol = solve_group(parse_group_spec("B3-standard"), 40)
+        assert list(sol.series) == ["H", "K2", "F"]
+        assert sol.F == sol.series["F"] == high_order_rows(braid_equation(), 40)
+        assert sol.residual_ok()
+
+    def test_symmetric_systems(self):
+        # one-sided systems carry a lone q or 1/q; the lowered cubics and
+        # quintic, and every system without winding marks, are fixed by q -> 1/q
+        stars = [system_for(parse_group_spec(text))
+                 for text in ("G(2,2)", "G(2,3)", "G(3,4)", "G(2,2,2)", "G(2,3,4)")]
+        for system in stars + [build_axa_system()]:
+            assert not system.symmetric()
+            assert forget_winding(system).symmetric()
+        for eq in (trefoil_equation(), braid_equation(), axa_q1_equation()):
+            assert equation_system(eq).symmetric()
 
     def test_invariant_catches_bad_term(self):
         bad = EquationSystem(["A"], {"A": [Term(1, 0, 0, ("A", "A"))]})
@@ -89,7 +104,7 @@ class TestSolveStar:
         assert conj(sol.F) == sol.F
 
     def test_residuals_and_primitive_identity(self):
-        from cogrowth.qseries import series_add, series_mul, series_reciprocal, series_sub
+        from cogrowth.qseries import series_add, series_mul, series_reciprocal
 
         one = QZSeries.one(20)
         sol = solve_group(parse_group_spec("G(2,2,2)"), 20)
@@ -97,12 +112,12 @@ class TestSolveStar:
         for facet in (1, 2, 3):
             # L0_i (1 - P_i) = 1
             L0, P = sol.series[l_name(0, facet)], sol.series[f"P{facet}"]
-            assert series_mul(L0, series_sub(one, P)) == one, facet
+            assert series_add(one, series_mul(L0, P)) == L0, facet
         # with two facets, F = 1/(1 - P_1 - P_2) and P_i = 1 - 1/L0_i
         sol = solve_group(parse_group_spec("G(3,4)"), 20)
         assert sol.residual_ok()
         inverses = [series_reciprocal(sol.series[l_name(0, facet)]) for facet in (1, 2)]
-        assert series_mul(sol.F, series_sub(series_add(*inverses), one)) == one
+        assert series_mul(sol.F, series_add(*inverses)) == series_add(one, sol.F)
 
 
 class TestSolveAxa:
@@ -159,7 +174,7 @@ class TestKTree:
         for k in (2, 3):
             spec = GroupSpec(STAR_POLYGON, (2,) * k)
             sol = solve_group(spec, 12)
-            got = q_constant_term(sol.F)
+            got = [p.coeff(0) for p in sol.F.coeffs]
             _, expect = ktree_closed_form(k, 6)
             assert got[0::2] == expect
             assert all(c == 0 for c in got[1::2])
@@ -208,7 +223,6 @@ class TestStarFamily:
 
 
 def test_braid_rows_match_oracle_at_length_14():
-    standard = count_closed_walks(parse_group_spec("B3-standard"), 14)
-    assert high_order_rows(braid_equation(), 14) == standard
-    axa = parse_group_spec("B3-axa")
-    assert solve_group(axa, 14).F == count_closed_walks(axa, 14)
+    for text in ("B3-standard", "B3-axa"):
+        spec = parse_group_spec(text)
+        assert solve_group(spec, 14).F == count_closed_walks(spec, 14), text
