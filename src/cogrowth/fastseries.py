@@ -1,9 +1,11 @@
 """Exact series expansion on NTT/CRT lanes, for equation systems and single equations.
 
 The q-variable is evaluated at the L-th roots of unity modulo a stack of
-26-bit primes p = 1 (mod L).  One kernel, _run_system, expands an
-EquationSystem order by order on every (prime, lane) pair with numpy, and one
-entry, system_rows, brings back the rows of the unknowns its caller names,
+26-bit primes p = 1 (mod L).  An EquationSystem is one ordered map from each
+unknown to its equation, evaluated in the map's order.  One kernel,
+_run_system, expands it order by order on every (prime, lane) pair with
+numpy; its one backend operation is dot, a sum of products.  One entry,
+system_rows, brings back the rows of the unknowns its caller names,
 and of no other: an inverse transform over the lanes, a check that no
 residue lies outside the winding window, and CRT with a signed lift, checked
 against one more prime.  Products of two residues stay below 2^52, so a sum
@@ -57,11 +59,14 @@ class Term:
 
 @dataclass
 class EquationSystem:
-    unknowns: list[str]  # evaluation order
-    equations: dict[str, list[Term]]
+    equations: dict[str, list[Term]]  # by unknown, in evaluation order
     facet_roots: dict[int, str] = field(default_factory=dict)  # facet -> L0 name
-    facet_primitives: dict[int, str] = field(default_factory=dict)  # facet -> P name
-    main: str = ""  # unknown assembled into F, "" for star assembly
+    main: str = ""  # the unknown that is F, "" for star assembly
+
+    @property
+    def unknowns(self) -> list[str]:
+        """The unknowns in evaluation order."""
+        return list(self.equations)
 
     def grouped(self, u: str) -> dict[tuple[int, tuple[str, ...]], list]:
         """u's terms that share z_pow and factors, as one group each: its
@@ -168,7 +173,7 @@ def equation_system(eq: PolynomialEquation) -> EquationSystem:
     for m in range(2, eq.degree):
         equations[power(m)] = [Term(1, 1, 0, ("H", power(m - 1)))]
     equations["F"] = [Term(1, 0, 0), Term(1, 1, 0, ("H",))]
-    return EquationSystem(list(equations), equations, main="F")
+    return EquationSystem(equations, main="F")
 
 
 def _ntt_primes(bound: int, lanes: int) -> list[int]:
@@ -334,12 +339,9 @@ class _Residues:
             acc %= self.p
         return out
 
-    def conv(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def dot(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The sum of xs[i] * ys[i]."""
         return np.einsum("ipl,ipl->pl", xs, ys) % self.p
-
-    def combine(self, coeffs: np.ndarray, vals) -> np.ndarray:
-        """The sum of coeffs[g] * vals[g]."""
-        return np.einsum("gpl,gpl->pl", coeffs, np.array(vals)) % self.p
 
 
 # added to every log2 sum; far above the float error of a sum of < 2^11 terms
@@ -367,11 +369,8 @@ class _Bounds:
             out.append((min(exps), max(exps), log2(mass.numerator) - log2(mass.denominator)))
         return np.array(out)
 
-    def conv(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def dot(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return self._sum(xs + ys)
-
-    def combine(self, coeffs: np.ndarray, vals) -> np.ndarray:
-        return self._sum(coeffs + np.array(vals))
 
 
 def _run_system(system: EquationSystem, order: int, alg) -> dict:
@@ -379,8 +378,10 @@ def _run_system(system: EquationSystem, order: int, alg) -> dict:
     read as zero.
 
     An unknown's terms that share z_pow and factors form one group with a
-    q-Laurent coefficient, so each unknown costs one combine per order.  The
-    product coefficients of each factor pair are kept across orders until no
+    q-Laurent coefficient, so each unknown costs one alg.dot of the group
+    coefficients with their factor values per order; a two-factor value is
+    itself one alg.dot, the convolution of the factors' rows.  The product
+    coefficients of each factor pair are kept across orders until no
     term reads them again: one computed before a factor's current
     coefficient lacks only products with the other factor's constant term,
     which check_invariant makes zero.
@@ -408,11 +409,11 @@ def _run_system(system: EquationSystem, order: int, alg) -> dict:
                     key = (*factors, j)
                     if key not in products:
                         a, b = (rows[f] for f in factors)
-                        products[key] = alg.conv(a[: j + 1], b[j::-1])
+                        products[key] = alg.dot(a[: j + 1], b[j::-1])
                     vals.append(products[key])
                 used.append(i)
             if used:
-                rows[u][n] = alg.combine(coeffs[used], vals)
+                rows[u][n] = alg.dot(coeffs[used], np.array(vals))
         for key in [k for k in products if k[-1] <= n - reach]:
             del products[key]  # later orders read j > n - reach only
     return rows

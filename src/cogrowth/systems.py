@@ -4,20 +4,23 @@ A star-polygon group's Schreier graph is a tree of polygons sharing the root
 vertex, so one-sided return series L_r obey a small polynomial system; the
 full return series F follows from the primitive-return series of each facet.
 The axa presentation of the braid group glues its polygons along edges
-instead, which needs the bigger G/L/F system.  Each equation is a flat list
-of monomial terms, and every monomial either carries an explicit z or a
-factor with no constant term, which makes coefficient n of the solution
-depend only on data already computed when equations are evaluated in order.
-solve_series hands the system to the lane engine (fastseries.system_rows),
-which solves it order by order modulo primes and lifts exact integer rows of
-the series its caller returns; SeriesSolution.residual_ok checks a solution
-by exact substitution.  B3-standard's system is its eliminated cubic
-(algebraic.braid_equation) lowered to F = 1 + z*H (fastseries.equation_system),
-so every presentation has one system.
+instead, which needs the bigger G/L/F system.  A system maps each unknown
+to its equation, a flat list of monomial terms, and the map's order is the
+evaluation order.  Every monomial either carries an explicit z or a factor
+with no constant term, which makes coefficient n of the solution depend only
+on data already computed when equations are evaluated in order.  F is the
+system's main unknown; a star system has none, and _assembled adds F = 1 +
+sum of F*P_i over its facets.  solve_series hands the system to the lane
+engine (fastseries.system_rows), which solves it order by order modulo
+primes and lifts exact integer rows of the series its caller returns;
+SeriesSolution.residual_ok checks a solution by exact substitution.
+B3-standard's system is its eliminated cubic (algebraic.braid_equation)
+lowered to F = 1 + z*H (fastseries.equation_system), so every presentation
+has one system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .algebraic import braid_equation
@@ -91,16 +94,12 @@ def build_star_system(spec: GroupSpec) -> EquationSystem:
     """
     if spec.variant != STAR_POLYGON:
         raise ValueError("star system needs a star-polygon spec")
-    unknowns: list[str] = []
     equations: dict[str, list[Term]] = {}
     roots: dict[int, str] = {}
-    prims: dict[int, str] = {}
     k = spec.generator_count
     for i in range(1, k + 1):
         p = spec.periods[i - 1]
         roots[i] = l_name(0, i)
-        for r in range(p):
-            unknowns.append(l_name(r, i))
         detours = [l_name(0, 3 - i)] if k == 2 else [f"R{i}"]
         equations[l_name(0, i)] = [
             Term(1, 0, 0),
@@ -116,17 +115,14 @@ def build_star_system(spec: GroupSpec) -> EquationSystem:
             Term(1, 1, 0, (l_name(p - 2, i), d)) for d in detours
         ] + [Term(1, 1, -1, (l_name(0, i), d)) for d in detours]
     if k > 2:
+        _add_primitives(equations, roots)
         for i in range(1, k + 1):
-            prims[i] = _add_primitive(equations, roots[i], i)
             equations[f"R{i}"] = [Term(1, 0, 0)] + [
                 Term(1, 0, 0, (f"R{i}", f"P{j}"))
                 for j in range(1, k + 1)
                 if j != i
             ]
-        unknowns += [f"U{i}" for i in range(1, k + 1)]
-        unknowns += [f"P{i}" for i in range(1, k + 1)]
-        unknowns += [f"R{i}" for i in range(1, k + 1)]
-    system = EquationSystem(unknowns, equations, facet_roots=roots, facet_primitives=prims)
+    system = EquationSystem(equations, facet_roots=roots)
     system.check_invariant()
     return system
 
@@ -161,43 +157,40 @@ def build_axa_system() -> EquationSystem:
         "F02": [t(1, 0, -1, ("F00", "L10")), t(1, 0, 0, ("F01", "L01")),
                 t(2, 0, 0, ("F02", "L00"))],
     }
-    order = ["L00", "L01", "L10", "G00", "G01", "G02", "G10", "G20",
-             "F00", "F01", "F02"]
-    system = EquationSystem(order, equations, main="F00")
+    system = EquationSystem(equations, main="F00")
     system.check_invariant()
     return system
 
 
-def _add_primitive(equations: dict[str, list[Term]], root: str, facet: int) -> str:
-    """Add U = root - 1 and the primitive series P = U - P*U (that is,
-    1 - 1/root) to equations as U{facet} and P{facet}; returns P's name."""
-    u, name = f"U{facet}", f"P{facet}"
-    equations[u] = [t for t in equations[root] if t != Term(1, 0, 0)]
-    if len(equations[u]) != len(equations[root]) - 1:
-        raise ValueError(f"{root} needs the constant term 1")
-    equations[name] = [Term(1, 0, 0, (u,)), Term(-1, 0, 0, (name, u))]
-    return name
+def _add_primitives(equations: dict[str, list[Term]], roots: dict[int, str]) -> None:
+    """Add U_i = root_i - 1 for each facet i of roots, then the primitive
+    series P_i = U_i - P_i*U_i (that is, 1 - 1/root_i), to equations."""
+    for i, root in roots.items():
+        equations[f"U{i}"] = [t for t in equations[root] if t != Term(1, 0, 0)]
+        if len(equations[f"U{i}"]) != len(equations[root]) - 1:
+            raise ValueError(f"{root} needs the constant term 1")
+    for i in roots:
+        equations[f"P{i}"] = [Term(1, 0, 0, (f"U{i}",)), Term(-1, 0, 0, (f"P{i}", f"U{i}"))]
 
 
-def _assembled(system: EquationSystem) -> tuple[EquationSystem, str]:
-    """system with F among its unknowns, and F's name.
+def _assembled(system: EquationSystem) -> EquationSystem:
+    """system with F as its main unknown: system itself if it has one.
 
-    A star system's F = 1/(1 - sum of P_i) becomes F = 1 + sum of F*P_i.  A
-    facet without a P unknown (two generators) gets U_i and P_i as the
-    bigger star systems do.
+    A star system's F = 1/(1 - sum of P_i) becomes the new unknown F = 1 +
+    sum of F*P_i, after U_i and P_i are added for each facet that has no P_i
+    equation yet (two generators).  The input is not changed.  Raises
+    ValueError for a system with neither a main unknown nor facet roots.
     """
     if system.main:
-        return system, system.main
-    unknowns, equations = list(system.unknowns), dict(system.equations)
-    primitive = []
-    for facet, root in system.facet_roots.items():
-        name = system.facet_primitives.get(facet)
-        if name is None:
-            name = _add_primitive(equations, root, facet)
-            unknowns += [f"U{facet}", name]
-        primitive.append(name)
-    equations["F"] = [Term(1, 0, 0)] + [Term(1, 0, 0, ("F", P)) for P in primitive]
-    return EquationSystem(unknowns + ["F"], equations), "F"
+        return system
+    if not system.facet_roots:
+        raise ValueError("no main unknown and no facet roots to assemble F from")
+    equations = dict(system.equations)
+    _add_primitives(
+        equations, {i: r for i, r in system.facet_roots.items() if f"P{i}" not in equations}
+    )
+    equations["F"] = [Term(1, 0, 0)] + [Term(1, 0, 0, ("F", f"P{i}")) for i in system.facet_roots]
+    return EquationSystem(equations, system.facet_roots, "F")
 
 
 def solve_series(system: EquationSystem, order: int) -> SeriesSolution:
@@ -208,9 +201,9 @@ def solve_series(system: EquationSystem, order: int) -> SeriesSolution:
     coefficient once, evaluating the unknowns in system order, and lifts the
     unknowns of system and F only.
     """
-    full, f_name = _assembled(system)
-    rows = system_rows(full, order, list(dict.fromkeys([*system.unknowns, f_name])))
-    return SeriesSolution(system, order, {u: rows[u] for u in system.unknowns}, rows[f_name])
+    full = _assembled(system)
+    rows = system_rows(full, order, list(dict.fromkeys([*system.unknowns, full.main])))
+    return SeriesSolution(system, order, {u: rows[u] for u in system.unknowns}, rows[full.main])
 
 
 def system_for(spec: GroupSpec) -> EquationSystem:
@@ -238,8 +231,8 @@ def group_series(spec: GroupSpec, order: int, unknown: str | None) -> QZSeries:
     """
     system, bound = system_for(spec), None
     if not unknown:
-        system, name = _assembled(system)
-        bound = 2 * (2 * spec.generator_count) ** order
+        system = _assembled(system)
+        name, bound = system.main, 2 * (2 * spec.generator_count) ** order
     else:
         name = unknown.replace(":", "_")
         if name not in system.unknowns:
@@ -253,16 +246,9 @@ def forget_winding(system: EquationSystem) -> EquationSystem:
     The collapsed system has constant q-polynomials throughout, so solving it
     to high order is much cheaper than the full two-variable solve.
     """
-    equations = {
-        name: [Term(t.coeff, t.z_pow, 0, t.factors) for t in terms]
-        for name, terms in system.equations.items()
-    }
-    return EquationSystem(
-        list(system.unknowns),
-        equations,
-        dict(system.facet_roots),
-        dict(system.facet_primitives),
-        system.main,
+    return replace(
+        system,
+        equations={u: [replace(t, q_pow=0) for t in terms] for u, terms in system.equations.items()},
     )
 
 
@@ -311,46 +297,21 @@ def cone_positivity_check(F: QZSeries, spec: GroupSpec) -> ConeReport:
     """
     if spec.variant != STAR_POLYGON:
         raise ValueError("cone check applies to star-polygon specs")
-    periods = spec.periods
-    evens = [p for p in periods if p % 2 == 0]
-    odds = [p for p in periods if p % 2]
-    checked = 0
-    first = None
-
-    def fail(n, m):
-        nonlocal first
-        if first is None:
-            first = (n, m)
-
+    evens = [p for p in spec.periods if p % 2 == 0]
+    odds = [p for p in spec.periods if p % 2]
     if not odds:
-        half = parity_transform(F, "even")
-        p = min(evens)
-        for n in range(half.order + 1):
-            for m in range(-(2 * n // p), 2 * n // p + 1):
-                checked += 1
-                if half.coeffs[n].coeff(m) <= 0:
-                    fail(n, m)
-        return ConeReport("even", checked, first)
-    if not evens:
-        p = min(odds)
-        for n in range(F.order + 1):
-            for m in range(-(n // p), n // p + 1):
-                if (n - m) % 2:
-                    continue
-                checked += 1
-                if F.coeffs[n].coeff(m) <= 0:
-                    fail(n, m)
-        return ConeReport("odd", checked, first)
-    pe, po = min(evens), min(odds)
-    for n in range(F.order + 1):
-        if n < pe + po:
-            if n % 2 == 0 and n >= 0:
-                checked += 1
-                if F.coeffs[n].coeff(0) <= 0:
-                    fail(n, 0)
-            continue
-        for m in range(-(n // (pe * po)), n // (pe * po) + 1):
-            checked += 1
-            if F.coeffs[n].coeff(m) <= 0:
-                fail(n, m)
-    return ConeReport("mixed", checked, first)
+        parity, series, p = "even", parity_transform(F, "even"), min(evens)
+        cells = [(n, m) for n in range(series.order + 1) for m in range(-(2 * n // p), 2 * n // p + 1)]
+    elif not evens:
+        parity, series, p = "odd", F, min(odds)
+        cells = [
+            (n, m) for n in range(F.order + 1) for m in range(-(n // p), n // p + 1) if (n - m) % 2 == 0
+        ]
+    else:
+        parity, series, p = "mixed", F, min(evens) * min(odds)
+        entry = min(evens) + min(odds)
+        cells = [(n, 0) for n in range(0, min(entry, F.order + 1), 2)] + [
+            (n, m) for n in range(entry, F.order + 1) for m in range(-(n // p), n // p + 1)
+        ]
+    bad = (cell for cell in cells if series.coeffs[cell[0]].coeff(cell[1]) <= 0)
+    return ConeReport(parity, len(cells), next(bad, None))

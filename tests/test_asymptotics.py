@@ -60,7 +60,7 @@ def g22_rows():
 class TestCriticalPoints:
     def test_regular_tree_subsystem(self):
         # A = 1 + (k-1) z^2 A^2 with k = 3 loses its real branch at 1/(2 sqrt 2)
-        tree = EquationSystem(["A"], {"A": [Term(1, 0, 0), Term(2, 2, 0, ("A", "A"))]})
+        tree = EquationSystem({"A": [Term(1, 0, 0), Term(2, 2, 0, ("A", "A"))]})
         cp = find_critical_point(tree, 1.0)
         assert abs(cp.z_c - 1 / (2 * math.sqrt(2))) < 1e-12
         assert max(cp.residuals) < 1e-12
@@ -120,13 +120,13 @@ class TestCriticalPoints:
 
     def test_no_branch_point_reported(self):
         # A = 1/(1 - z): det(I - Phi_Y) = 1 - z stays positive past the scan roof
-        tame = EquationSystem(["A"], {"A": [Term(1, 0, 0), Term(1, 1, 0, ("A",))]})
+        tame = EquationSystem({"A": [Term(1, 0, 0), Term(1, 1, 0, ("A",))]})
         with pytest.raises(RuntimeError):
             find_critical_point(tame, 1.0)
 
     def test_pole_not_reported_as_branch_point(self):
         # A = 1/(1 - 2z) blows up at z = 1/2 with no fold, so there is no branch point
-        pole = EquationSystem(["A"], {"A": [Term(1, 0, 0), Term(2, 1, 0, ("A",))]})
+        pole = EquationSystem({"A": [Term(1, 0, 0), Term(2, 1, 0, ("A",))]})
         with pytest.raises(RuntimeError):
             find_critical_point(pole, 1.0)
 

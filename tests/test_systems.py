@@ -5,6 +5,7 @@ from cogrowth.algebraic import axa_q1_equation, braid_equation, trefoil_equation
 from cogrowth.fastseries import equation_system, high_order_rows
 from cogrowth.groups import GroupSpec, STAR_POLYGON, parse_group_spec
 from cogrowth.oracle import count_closed_walks, count_one_sided_walks
+from cogrowth import systems
 from cogrowth.qseries import QPolynomial, QZSeries
 from cogrowth.systems import (
     EquationSystem,
@@ -13,6 +14,7 @@ from cogrowth.systems import (
     build_star_system,
     cone_positivity_check,
     forget_winding,
+    group_series,
     ktree_closed_form,
     l_name,
     solve_group,
@@ -65,7 +67,7 @@ class TestBuildStar:
             assert equation_system(eq).symmetric()
 
     def test_invariant_catches_bad_term(self):
-        bad = EquationSystem(["A"], {"A": [Term(1, 0, 0, ("A", "A"))]})
+        bad = EquationSystem({"A": [Term(1, 0, 0, ("A", "A"))]})
         with pytest.raises(ValueError):
             bad.check_invariant()
 
@@ -156,11 +158,28 @@ def test_facet_root_without_unit_constant_raises():
 def test_ill_ordered_system_raises():
     # A = 1 + B reads B at order n before B = z*A computes it
     system = EquationSystem(
-        ["A", "B"],
         {"A": [Term(1, 0, 0), Term(1, 0, 0, ("B",))], "B": [Term(1, 1, 0, ("A",))]},
+        main="A",
     )
     with pytest.raises(RuntimeError, match="needed too early"):
         solve_series(system, 5)
+
+
+def test_system_without_f_raises():
+    # A = 1 + z*A has no main unknown and no facets to assemble F from
+    system = EquationSystem({"A": [Term(1, 0, 0), Term(1, 1, 0, ("A",))]})
+    with pytest.raises(ValueError, match="assemble F"):
+        solve_series(system, 3)
+
+
+def test_solves_leave_their_system_unchanged(monkeypatch):
+    for text in ("G(2,3)", "G(2,3,4)"):
+        system = system_for(parse_group_spec(text))
+        equations, main = {u: list(ts) for u, ts in system.equations.items()}, system.main
+        solve_series(system, 6)
+        monkeypatch.setattr(systems, "system_for", lambda spec: system)
+        group_series(parse_group_spec(text), 6, None)
+        assert system.equations == equations and system.main == main == "", text
 
 
 class TestKTree:
@@ -218,6 +237,7 @@ class TestStarFamily:
         length = {2: 12, 3: 10, 4: 8}[len(periods)]
         F = solve_group(spec, length).F
         assert F == count_closed_walks(spec, length)
+        assert group_series(spec, length, None) == F
         assert all(row.is_symmetric() for row in F.coeffs)
         assert cone_positivity_check(F, spec).ok
 
