@@ -17,7 +17,8 @@ are verified here: with --max-order 16 the smallest shape of order <= 16 is
 (16, 19), with coefficients of up to 774 digits; with --max-order 15 it is
 (15, 23), with coefficients of up to 886 digits.  Higher orders fit smaller
 shapes: with --max-order 22 it is (22, 11), 276 unknowns against 340 for
-(16, 19), with coefficients of up to 617 digits.
+(16, 19), with coefficients of up to 617 digits, lifted in about 4 s (7 s
+for (16, 19)) on one core of a shared 2-core host.
 """
 
 import argparse

@@ -7,7 +7,8 @@ constant term is fixed, so no elimination machinery is needed at runtime.
 Recurrence guessing runs nullspace searches on shifted, index-weighted copies
 of a sequence: one elimination per order rules out every degree whose fitting
 matrix has full rank modulo a prime, candidates are found modulo primes
-below 2^26 with numpy elimination, lifted by CRT plus rational reconstruction
+below 2^26 by blocked numpy elimination (trailing updates as exact float64
+products), lifted by CRT plus rational reconstruction
 over as many primes as the coefficients need (up to the Hadamard bound of the
 fitting matrix), and only believed after exact integer verification on the
 whole attested prefix.
@@ -325,6 +326,10 @@ def _primes_below(start: int, count: int) -> list[int]:
 (_FILTER_PRIME,) = _primes_below(1 << 26, 1)
 # terms guess_recurrence needs beyond the largest shape's unknown count
 _GUESS_MARGIN = 50
+# _matmul_mod sums fewer than this many products exactly in float64
+_MAX_INNER = 1 << 14
+# columns per panel of _nullvector_numpy, set by timing the c09 and guess matrices
+_PANEL = 96
 
 
 def _columns(order: int, degree: int) -> list[tuple[int, int]]:
@@ -342,52 +347,93 @@ def _matrix_mod(seq, order, degree, rows, p) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def _nullvector_numpy(data, p):
-    """Gauss-Jordan modulo p < 2^26: (nullvector or None, pivot columns).
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b modulo p, exactly, for residues 0 <= a, b < p <= 2^26.
 
-    Only the pivot column and the pivot row are reduced at each step; the
-    rest of the matrix takes the update unreduced.  Each update subtracts
-    less than p^2 < 2^52, so 2^10 of them stay inside an int64 and the whole
-    matrix is reduced once after every 2^10 pivots.  Columns left of the
-    pivot are already zero, so each step only updates the columns from the
-    pivot on.
+    b is split into two 13-bit halves, each applied as one float64 product.
+    A term is below 2^26 * 2^13 = 2^39 and a sum has fewer than 2^14 terms,
+    so every partial sum is an integer below 2^53 and exact under any
+    summation order and BLAS thread count.  The high product, reduced and
+    shifted, is below 2^39, and the low one is added to it in float64: at
+    most 2^39 + (2^14 - 1)(2^26 - 1)(2^13 - 1) < 2^53, still exact.  Raises
+    ValueError if p exceeds 2^26, an entry lies outside [0, p), or the inner
+    dimension is 2^14 or more.
+    """
+    if not 1 < p <= 1 << 26:
+        raise ValueError(f"modulus {p} outside (1, 2^26]")
+    if a.shape[-1] >= _MAX_INNER:
+        raise ValueError(f"inner dimension {a.shape[-1]}: the float64 product is exact below {_MAX_INNER}")
+    if any(x.size and (x.min() < 0 or x.max() >= p) for x in (a, b)):
+        raise ValueError(f"entries outside [0, {p})")
+    x = a.astype(np.float64)
+    out = (x @ (b >> 13).astype(np.float64)).astype(np.int64)
+    out %= p
+    out <<= 13
+    np.add(out, x @ (b & 8191).astype(np.float64), out=out, casting="unsafe")
+    out %= p
+    return out
+
+
+def _nullvector_numpy(data, p):
+    """Row echelon form modulo p <= 2^26: (nullvector or None, pivot columns).
+
+    Columns are eliminated in panels of _PANEL.  At each column of a panel
+    the first row from the current one with a nonzero entry is the pivot; it
+    is scaled to 1 and subtracted from the rows below it on the panel's
+    columns only, unreduced: each update is below p^2 <= 2^52, and the fewer
+    than 2^11 of one panel fit an int64.  The entries left below a pivot are
+    its multipliers.  Right of the panel, a short triangular pass collects
+    the panel's operations on its own pivot rows into one small matrix, and
+    two products finish each _PANEL columns there (so the temporaries stay
+    rows x _PANEL): that matrix times the pivot rows, then the rows below
+    minus their multipliers times the finished pivot rows.  Both are exact
+    (_matmul_mod: float64 sums of fewer than 2^14 terms below 2^39, so every
+    partial sum is an integer below 2^53).  A matrix no wider than one panel
+    is plain forward elimination.  Pivots are taken left to right, so they
+    are the column rank profile whatever rows were picked: the pivots below
+    a column index number the rank of the columns before it.  The nullvector
+    is 1 at the first free column and 0 past it, which makes it unique; back
+    substitution on the pivot rows gives the rest.
     """
     M = np.array(data, dtype=np.int64)
+    M %= p
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        M[r:, c] %= p
-        nz = np.flatnonzero(M[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        M[r, c:] = M[r, c:] % p * pow(int(M[r, c]), -1, p) % p
-        col = M[:, c] % p
-        col[r] = 0
-        M[:, c:] -= np.outer(col, M[r, c:])
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-        if r % 1024 == 0:
-            M %= p
-    M %= p
-    return _extract_nullvector(M[: len(pivots)].tolist(), pivots, cols, p)
-
-
-def _extract_nullvector(reduced, pivots, cols, p):
-    pivot_set = set(pivots)
-    free = next((c for c in range(cols) if c not in pivot_set), None)
-    if free is None:
+    for start in range(0, cols, _PANEL):
+        end = min(start + _PANEL, cols)
+        first, scales = r, []
+        for c in range(start, end):
+            M[r:, c] %= p
+            nz = M[r:, c].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                M[[r, i]] = M[[i, r]]
+            scales.append(pow(int(M[r, c]), -1, p))
+            M[r, c:end] = M[r, c:end] % p * scales[-1] % p
+            M[r + 1 :, c + 1 : end] -= M[r + 1 :, c, None] * M[r, c + 1 : end]
+            pivots.append(c)
+            r += 1
+        if scales and end < cols:
+            multipliers = M[:, pivots[first - r :]]
+            ops = np.eye(r - first, dtype=np.int64)
+            for j, scale in enumerate(scales):
+                ops[j] = ops[j] % p * scale % p
+                ops[j + 1 :] -= multipliers[first + j + 1 : r, j, None] * ops[j]
+            for lo in range(end, cols, _PANEL):
+                block = slice(lo, lo + _PANEL)
+                M[first:r, block] = _matmul_mod(ops, M[first:r, block], p)
+                M[r:, block] -= _matmul_mod(multipliers[r:], M[first:r, block], p)
+                M[r:, block] %= p
+    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
+    if free == cols:
         return None, pivots
-    vec = [0] * cols
-    vec[free] = 1
-    for i, pc in enumerate(pivots):
-        vec[pc] = -reduced[i][free] % p
-    return vec, pivots
+    vec = -M[:free, free] % p
+    for j in range(free - 1, 0, -1):
+        vec[:j] = (vec[:j] - M[:j, j] * vec[j]) % p
+    return vec.tolist() + [1] + [0] * (cols - free - 1), pivots
 
 
 def _crt(residues: list[int], mods: list[int]) -> tuple[int, int]:
@@ -421,8 +467,9 @@ def _prefix_ranks(seq, order: int, degree: int) -> list[int]:
     One elimination of the (order, degree) fitting matrix with its columns
     taken degree-major, (d, j), and its own rows: the first (order+1)(d+1)
     columns are the (order, d) shape's, and every smaller degree's rows are a
-    prefix of these.  Gauss-Jordan picks pivots left to right, so the number
-    of pivots below a column index is the rank of the columns before it.
+    prefix of these.  _nullvector_numpy's pivots are the column rank
+    profile, so the number of pivots below a column index is the rank of the
+    columns before it.
     """
     cols = (order + 1) * (degree + 1)
     rows = min(len(seq) - order, cols + 32)
@@ -490,7 +537,12 @@ def _reconstruct(seq, order, degree, rows) -> Recurrence | None:
     """Lift the modular nullvector of the (order, degree) fitting matrix to Q.
 
     Primes below 2^26 are added one at a time until the CRT image, rationally
-    reconstructed, annihilates every fitting row exactly.  The first prime
+    reconstructed, annihilates every fitting row exactly.  Each prime takes
+    one _nullvector_numpy elimination: panels of _PANEL columns, each
+    panel's trailing update one exact float64 product.  Its pivots are the
+    column rank profile modulo p and its nullvector the unique one that is 1
+    at the first free column and 0 past it, so the images of primes with the
+    same profile are images of one rational vector.  The first prime
     modulo which the matrix has full rank ends the lift with None: full rank
     there implies full rank over Q.  A lift that annihilates every row proves
     the matrix rank-deficient over Q, and so modulo every prime, so returning

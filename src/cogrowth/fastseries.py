@@ -15,8 +15,8 @@ triples instead of residues gives each series a provable q-exponent window
 per order and a bound on its coefficients; L is the widest window that is
 lifted plus one, any integer, and the CRT bound is the largest mass lifted,
 or the caller's bound if that is smaller.  The inverse transform is one
-dense DFT matrix per prime, applied as two exact float64 products
-(_inverse_dft).
+dense DFT matrix per prime, applied as one exact product
+(_inverse_dft, algebraic._matmul_mod).
 A system that q -> 1/q fixes (EquationSystem.symmetric) has symmetric rows,
 so only lanes 0..L//2 are solved and the transform folds the mirrored lanes
 into its matrix; one-sided series are not symmetric and take all L lanes.
@@ -32,16 +32,19 @@ from math import ceil, comb, log2, prod
 
 import numpy as np
 
-from .algebraic import PolynomialEquation, _is_prime, series_solve_polynomial
+from .algebraic import (
+    _MAX_INNER,
+    PolynomialEquation,
+    _is_prime,
+    _matmul_mod,
+    series_solve_polynomial,
+)
 from .qseries import QP_ZERO, QPolynomial, QZSeries
 
 # sums of fewer than this many products below p^2 < 2^52 fit an int64
 _MAX_UNREDUCED = 1 << 11
 # primes are solved side by side, as many as fill this many solved lanes
 _BLOCK_COLUMNS = 1024
-# float64 sums of L products of a 26-bit residue and a 13-bit half are
-# exact for L below this: L * 2^26 * 2^13 < 2^53
-_MAX_LANES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -216,10 +219,8 @@ def _inverse_dft(mat: np.ndarray, p: int, w: int, lanes: int) -> np.ndarray:
     mat holds lanes t < L, or t <= L//2 of rows mirrored as v_(L-t) = v_t;
     their coefficients are mirrored too, and only those of exponents
     0..L//2 come back.  The folded matrix adds w^(tk) to row t wherever t
-    and L - t are distinct lanes.  The matrix, scaled by 1/L, is split into
-    two 13-bit halves, each applied as one float64 product: a residue below
-    2^26 times a half below 2^13, summed over fewer than 2^14 lanes, stays
-    below 2^53, so every partial sum is an exact integer.
+    and L - t are distinct lanes.  The matrix, scaled by 1/L, is applied by
+    _matmul_mod, exact for fewer than 2^14 lanes.
     """
     t = np.arange(mat.shape[1])
     inverse = _powers(p, pow(w, -1, p), lanes) * pow(lanes, -1, p) % p
@@ -227,10 +228,7 @@ def _inverse_dft(mat: np.ndarray, p: int, w: int, lanes: int) -> np.ndarray:
     if len(t) < lanes:
         twin = (t > 0) & (2 * t < lanes)
         m[twin] = (m[twin] + inverse[np.outer(-t[twin], t) % lanes]) % p
-    x = mat.astype(np.float64)
-    high = (x @ (m >> 13).astype(np.float64)).astype(np.int64) % p
-    low = (x @ (m & 8191).astype(np.float64)).astype(np.int64)
-    return ((high << 13) + low) % p
+    return _matmul_mod(mat, m, p)
 
 
 def system_rows(
@@ -250,7 +248,7 @@ def system_rows(
     map, so the named values stay exact.  The CRT takes |coefficients| <
     bound / 2, with bound the smaller of the caller's and the bounds pass's
     mass bound over the named series.  Raises ValueError for L >=
-    _MAX_LANES, before the lane solve, what system.check_invariant raises
+    _MAX_INNER, before the lane solve, what system.check_invariant raises
     (RuntimeError for a coefficient read before it is computed), and
     ArithmeticError on a residue outside a window or a check-prime mismatch.
     """
@@ -259,8 +257,8 @@ def system_rows(
     bound = mass_bound if bound is None else min(bound, mass_bound)
     mirrored = system.symmetric()
     lanes = int(max((hi - lo).max() + 1 for lo, hi in windows.values())) + 1
-    if lanes >= _MAX_LANES:
-        raise ValueError(f"{lanes} lanes: the float64 transform is exact below {_MAX_LANES}")
+    if lanes >= _MAX_INNER:
+        raise ValueError(f"{lanes} lanes: the float64 transform is exact below {_MAX_INNER}")
     *primes, check = _ntt_primes(bound, lanes)
     solved = lanes // 2 + 1 if mirrored else lanes
     slots = np.arange(solved)

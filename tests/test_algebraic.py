@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,10 @@ from cogrowth.algebraic import (
     Recurrence,
     ResidualReport,
     _FILTER_PRIME,
+    _MAX_INNER,
+    _PANEL,
     _crt,
+    _matmul_mod,
     _matrix_mod,
     _nullvector_numpy,
     _prefix_ranks,
@@ -213,22 +217,53 @@ class TestModularHelpers:
         assert _rational_reconstruct(2, 4) is None
 
 
-def plain_rank(rows, p) -> int:
-    """Rank modulo p by textbook elimination on Python integers."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+def plain_echelon(rows, p):
+    """Pivot columns and nullvector modulo p by textbook Gauss-Jordan on
+    Python integers; the nullvector is 1 at the first free column, 0 at the
+    other free columns, or None when every column has a pivot."""
+    rows = [[x % p for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c] * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        inv = pow(rows[k][c], -1, p)
+        rows[k][c:] = [x * inv % p for x in rows[k][c:]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != k and f:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], rows[k][c:])]
+        pivots.append(c)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return pivots, None
+    vec = [0] * ncols
+    vec[free] = 1
+    for i, c in enumerate(pivots):
+        vec[c] = -rows[i][free] % p
+    return pivots, vec
+
+
+def planted_matrix(rng, nrows, ncols, p, zero, fresh, dependent=range(0)):
+    """Rows of a matrix whose columns are zero (probability zero), random
+    (probability fresh), or else combinations of up to three earlier
+    columns; columns in dependent are never random once one column exists."""
+    cols = []
+    for c in range(ncols):
+        kind = rng.random()
+        if kind < zero:
+            cols.append([0] * nrows)
+        elif cols and (kind < 1 - fresh or c in dependent):
+            picks = rng.sample(range(len(cols)), rng.randint(1, min(3, len(cols))))
+            weights = [rng.randrange(1, p) for _ in picks]
+            cols.append([sum(w * cols[j][i] for w, j in zip(weights, picks)) % p
+                         for i in range(nrows)])
+        else:
+            cols.append([rng.randrange(p) for _ in range(nrows)])
+    return [[col[i] for col in cols] for i in range(nrows)]
 
 
 class TestRankProfile:
@@ -238,23 +273,30 @@ class TestRankProfile:
         rng = random.Random(seed)
         p = _FILTER_PRIME
         nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
-        cols = []
-        for _ in range(ncols):
-            kind = rng.random()
-            if kind < 0.15:
-                cols.append([0] * nrows)
-            elif kind < 0.55 and cols:
-                picks = rng.sample(range(len(cols)), rng.randint(1, min(3, len(cols))))
-                weights = [rng.randrange(1, p) for _ in picks]
-                cols.append([sum(w * cols[c][i] for w, c in zip(weights, picks)) % p
-                             for i in range(nrows)])
-            else:
-                cols.append([rng.randrange(p) for _ in range(nrows)])
-        matrix = [[cols[c][i] for c in range(ncols)] for i in range(nrows)]
+        matrix = planted_matrix(rng, nrows, ncols, p, zero=0.15, fresh=0.45)
         _, pivots = _nullvector_numpy(matrix, p)
         for k in range(ncols + 1):
             prefix = [row[:k] for row in matrix]
-            assert sum(1 for c in pivots if c < k) == plain_rank(prefix, p)
+            assert sum(1 for c in pivots if c < k) == len(plain_echelon(prefix, p)[0])
+
+    @pytest.mark.parametrize("nrows, ncols, zero, fresh, dependent, panels", [
+        # more columns than rows: all 40 rows have pivots within two panels
+        (40, 200, 0.1, 0.3, range(0), {0, 1}),
+        # the middle panel's columns all depend on earlier ones
+        (260, 240, 0.1, 0.2, range(_PANEL, 2 * _PANEL), {0, 2}),
+        (300, 275, 0.1, 0.12, range(0), {0, 1, 2}),
+        # every row has a pivot at the first panel's end; the next column is free
+        (_PANEL, 2 * _PANEL + 8, 0.0, 1.0, range(0), {0}),
+    ])
+    def test_panels_match_plain_elimination(self, nrows, ncols, zero, fresh, dependent, panels):
+        # three panels or more, so rows below pivots take the trailing product
+        assert ncols > 2 * _PANEL
+        rng = random.Random(nrows * ncols)
+        p = _FILTER_PRIME
+        matrix = planted_matrix(rng, nrows, ncols, p, zero, fresh, dependent)
+        pivots, vec = plain_echelon(matrix, p)
+        assert _nullvector_numpy(matrix, p) == (vec, pivots)
+        assert vec is not None and {c // _PANEL for c in pivots} == panels
 
     def test_prefix_ranks_match_each_shape(self):
         # one (3, 1) relation, times 1, n, ..., n^(d-1): nullity d at degree d
@@ -266,8 +308,35 @@ class TestRankProfile:
         p = _FILTER_PRIME
         rows = min(len(seq) - 3, 4 * 4 + 32)
         for d, rank in enumerate(ranks):
-            assert rank == plain_rank(_matrix_mod(seq, 3, d, rows, p).tolist(), p)
+            assert rank == len(plain_echelon(_matrix_mod(seq, 3, d, rows, p).tolist(), p)[0])
         assert ranks == [4, 7, 10, 13]
+
+
+class TestExactProduct:
+    @pytest.mark.parametrize("inner", [_PANEL, _MAX_INNER - 1])
+    def test_largest_residues(self, inner):
+        # every entry p - 1 puts the largest term in every partial sum
+        p = 1 << 26
+        a = np.full((3, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 2), p - 1, dtype=np.int64)
+        assert _matmul_mod(a, b, p).tolist() == [[inner * (p - 1) ** 2 % p] * 2] * 3
+
+    def test_random_residues_match_python_ints(self):
+        p = _FILTER_PRIME
+        rng = np.random.default_rng(7)
+        a, b = rng.integers(0, p, (5, _PANEL)), rng.integers(0, p, (_PANEL, 4))
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+        assert _matmul_mod(a, b, p).tolist() == want
+
+    @pytest.mark.parametrize("a, b, p", [
+        (np.ones((1, _MAX_INNER), dtype=np.int64), np.ones((_MAX_INNER, 1), dtype=np.int64), 7),
+        (np.full((1, 1), 7), np.ones((1, 1), dtype=np.int64), 7),
+        (np.ones((1, 1), dtype=np.int64), np.full((1, 1), -1), 7),
+        (np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), (1 << 26) + 1),
+    ])
+    def test_preconditions_raise(self, a, b, p):
+        with pytest.raises(ValueError):
+            _matmul_mod(a, b, p)
 
 
 def per_shape_guess(seq, max_order, max_degree):
